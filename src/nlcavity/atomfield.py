@@ -83,32 +83,22 @@ def conditional_block(U: JointOperator, atom_in: str, atom_out: str) -> FockOper
     return FockOperator(block.copy(), U.cutoff)
 
 
-def upsilon_factors(tau: float, cutoff: int, variant: str = GROUND) -> np.ndarray:
-    """cos(tau sqrt(n)) for variant g, cos(tau sqrt(n+1)) for variant e."""
+def upsilon_factors(tau, cutoff: int, variant: str = GROUND) -> np.ndarray:
+    """cos(tau sqrt(n)) for variant g, cos(tau sqrt(n+1)) for variant e.
+
+    tau may be an array; the result has shape tau.shape + (cutoff + 1,).
+    This is the only implementation of the conditional map's factors."""
     n = np.arange(cutoff + 1)
     if variant == GROUND:
-        return np.cos(tau * np.sqrt(n))
+        return np.cos(np.multiply.outer(tau, np.sqrt(n)))
     if variant == EXCITED:
-        return np.cos(tau * np.sqrt(n + 1))
+        return np.cos(np.multiply.outer(tau, np.sqrt(n + 1)))
     raise ValueError(f"variant must be 'g' or 'e', got {variant!r}")
 
 
 def apply_upsilon(state: FockVector, tau: float, variant: str = GROUND) -> ConditionalOutcome:
     """Conditional measurement map on a normalized field state."""
-    if not state.is_normalized():
-        raise ValueError("input state must be normalized")
-    raw = state.amps * upsilon_factors(tau, state.cutoff, variant)
-    prob = float(np.sum(np.abs(raw) ** 2))
-    if prob < PROB_FLOOR:
-        raise ImpossibleOutcomeError(
-            f"measurement outcome impossible: probability {prob:.3e}"
-        )
-    raw_vec = FockVector(raw, state.cutoff)
-    return ConditionalOutcome(
-        raw=raw_vec,
-        state=FockVector(raw / math.sqrt(prob), state.cutoff),
-        probability=prob,
-    )
+    return apply_sequence(state, [(tau, variant)])
 
 
 def apply_sequence(state: FockVector, steps) -> ConditionalOutcome:
@@ -122,7 +112,7 @@ def apply_sequence(state: FockVector, steps) -> ConditionalOutcome:
         raise ValueError("steps must be non-empty")
     if not state.is_normalized():
         raise ValueError("input state must be normalized")
-    raw = state.amps.copy()
+    raw = state.amps
     for tau, variant in steps:
         raw = raw * upsilon_factors(tau, state.cutoff, variant)
     prob = float(np.sum(np.abs(raw) ** 2))
@@ -130,9 +120,8 @@ def apply_sequence(state: FockVector, steps) -> ConditionalOutcome:
         raise ImpossibleOutcomeError(
             f"measurement outcome impossible: probability {prob:.3e}"
         )
-    raw_vec = FockVector(raw, state.cutoff)
     return ConditionalOutcome(
-        raw=raw_vec,
+        raw=FockVector(raw, state.cutoff),
         state=FockVector(raw / math.sqrt(prob), state.cutoff),
         probability=prob,
     )

@@ -16,10 +16,8 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import atomfield, labparams, phasespace, search
-from .fock import CutoffTooSmallError, FockVector, coherent_state, default_cutoff
+from .fock import CutoffTooSmallError, coherent_state, default_cutoff
 from .universality import TruncationGuardError, residual_scaling
 
 EXIT_OK = 0
@@ -105,14 +103,9 @@ def resolve(args, config, key, convert, default):
     """Precedence: explicit flag > config file > built-in default."""
     flag = getattr(args, key, None)
     if flag is not None:
-        return flag if convert is None else flag
+        return flag
     if key in config:
-        raw = config[key]
-        if convert is str or convert is None:
-            return raw
-        if convert is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return convert(raw)
+        return convert(config[key])
     return default
 
 
@@ -129,65 +122,45 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+def print_result(result, as_json, text_lines):
+    """Print a command's result record as JSON, or as the given text lines."""
+    if as_json:
+        print(json.dumps(result, indent=2, sort_keys=True))
+    else:
+        for line in text_lines:
+            print(line)
+
+
 # ---------------------------------------------------------------- ns-search
 
 
 def cmd_ns_search(args, config):
     out_dir = Path(resolve(args, config, "out", str, "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt_kind = resolve(args, config, "format", str, "csv")
     if args.two_atom:
         r1 = resolve(args, config, "tau1_range", parse_range, (1.0, 60.0))
         r2 = resolve(args, config, "tau2_range", parse_range, (1.0, 250.0))
         step = resolve(args, config, "step", float, 0.05)
         merit = resolve(args, config, "target_merit", float, 1e-6)
         sols = search.two_atom_search(r1, r2, target_merit=merit, step=step)
-        header = ["tau1", "tau2", "B0", "B1", "B2", "merit"]
-        rows = [
-            [fmt(s.taus[0]), fmt(s.taus[1])]
-            + [fmt(a) for a in s.amplitudes]
-            + [fmt(s.merit)]
-            for s in sols
-        ]
-        write_csv(out_dir / "two_atom.csv", header, rows)
-        if fmt_kind == "json":
-            write_json(
-                out_dir / "two_atom.json",
-                {
-                    "solutions": [
-                        {
-                            "tau1": jround(s.taus[0]),
-                            "tau2": jround(s.taus[1]),
-                            "amplitudes": [jround(a) for a in s.amplitudes],
-                            "merit": jround(s.merit),
-                        }
-                        for s in sols
-                    ]
-                },
-            )
+        stem, tau_names, letter = "two_atom", ("tau1", "tau2"), "B"
     else:
         max_tau = resolve(args, config, "max_tau", float, 250.0)
         sols = search.ns_tau_candidates(max_tau)
-        header = ["tau", "A0", "A1", "A2", "merit"]
-        rows = [
-            [fmt(s.taus[0])] + [fmt(a) for a in s.amplitudes] + [fmt(s.merit)]
+        stem, tau_names, letter = "table1", ("tau",), "A"
+    header = [*tau_names, *(f"{letter}{k}" for k in range(3)), "merit"]
+    rows = [[fmt(v) for v in (*s.taus, *s.amplitudes, s.merit)] for s in sols]
+    write_csv(out_dir / f"{stem}.csv", header, rows)
+    if resolve(args, config, "format", str, "csv") == "json":
+        records = [
+            {
+                **{name: jround(t) for name, t in zip(tau_names, s.taus)},
+                "amplitudes": [jround(a) for a in s.amplitudes],
+                "merit": jround(s.merit),
+            }
             for s in sols
         ]
-        write_csv(out_dir / "table1.csv", header, rows)
-        if fmt_kind == "json":
-            write_json(
-                out_dir / "table1.json",
-                {
-                    "solutions": [
-                        {
-                            "tau": jround(s.taus[0]),
-                            "amplitudes": [jround(a) for a in s.amplitudes],
-                            "merit": jround(s.merit),
-                        }
-                        for s in sols
-                    ]
-                },
-            )
+        write_json(out_dir / f"{stem}.json", {"solutions": records})
     if not sols:
         print("no solutions in the requested range", file=sys.stderr)
         return EXIT_NO_SOLUTION
@@ -196,12 +169,6 @@ def cmd_ns_search(args, config):
 
 
 # -------------------------------------------------------------------- qfunc
-
-
-def _conditional_state(alpha, theta, cutoff):
-    base = coherent_state(alpha, cutoff)
-    raw = base.amps * atomfield.upsilon_factors(theta, cutoff, atomfield.GROUND)
-    return FockVector(raw, cutoff)
 
 
 GNUPLOT_TEMPLATE = """\
@@ -226,7 +193,7 @@ def cmd_qfunc(args, config):
     x0, x1, n = resolve(args, config, "grid", parse_grid, (-15.0, 15.0, 301))
     convention = resolve(args, config, "convention", str, "paper-unnormalized")
 
-    state = _conditional_state(alpha, theta, cutoff)
+    state = atomfield.apply_upsilon(coherent_state(alpha, cutoff), theta).raw
     grid = phasespace.q_function(
         state, x_range=(x0, x1), p_range=(x0, x1), resolution=n, convention=convention
     )
@@ -284,20 +251,18 @@ def cmd_cat_diagnose(args, config):
     alpha = resolve(args, config, "alpha", complex, 10.0)
     theta = resolve(args, config, "theta", float, 10.0 * math.pi)
     cutoff = resolve(args, config, "cutoff", int, None) or default_cutoff(alpha)
-    state = _conditional_state(alpha, theta, cutoff)
-    prob = state.norm_sq()
-    diag = _diag_to_json(phasespace.cat_diagnostics(state, alpha))
-    diag["success_probability"] = jround(prob)
+    cond = atomfield.apply_upsilon(coherent_state(alpha, cutoff), theta)
+    diag = _diag_to_json(phasespace.cat_diagnostics(cond.raw, alpha))
+    diag["success_probability"] = jround(cond.probability)
     diag["alpha"] = [jround(complex(alpha).real), jround(complex(alpha).imag)]
     diag["theta"] = jround(theta)
     diag["cutoff"] = cutoff
-    text = json.dumps(diag, indent=2, sort_keys=True)
-    print(text)
+    print_result(diag, True, ())
     out = resolve(args, config, "out", str, None)
     if out is not None:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "cat.json").write_text(text + "\n")
+        write_json(out_dir / "cat.json", diag)
     return EXIT_OK
 
 
@@ -347,18 +312,13 @@ def cmd_params(args, config):
         "kappa_rad_per_s": jround(kap),
         "kappa_over_2pi_hz": jround(kap / (2.0 * math.pi)),
     }
+    lines = [f"kappa = {fmt(kap)} rad/s = 2pi x {fmt(kap / (2 * math.pi))} Hz"]
     tau = resolve(args, config, "tau", float, None)
     if tau is not None:
         result["tau"] = jround(tau)
         result["interaction_time_s"] = jround(labparams.interaction_time(tau, kap))
-    if resolve(args, config, "format", str, "text") == "json":
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print(f"kappa = {fmt(kap)} rad/s = 2pi x {fmt(kap / (2 * math.pi))} Hz")
-        if tau is not None:
-            print(
-                f"t(tau={fmt(tau)}) = {fmt(result['interaction_time_s'])} s"
-            )
+        lines.append(f"t(tau={fmt(tau)}) = {fmt(result['interaction_time_s'])} s")
+    print_result(result, resolve(args, config, "format", str, "text") == "json", lines)
     return EXIT_OK
 
 
@@ -394,12 +354,11 @@ def cmd_qudit_theta(args, config):
         "tolerance": tolerance,
         "table": table,
     }
-    if resolve(args, config, "format", str, "text") == "json":
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print(f"theta = {fmt(theta)}  worst error = {fmt(worst)}")
-        for row in table:
-            print(f"  n={row['n']:3d}  cos = {fmt(row['cos']):>18s}  target = {row['target']:+d}")
+    lines = [f"theta = {fmt(theta)}  worst error = {fmt(worst)}"] + [
+        f"  n={row['n']:3d}  cos = {fmt(row['cos']):>18s}  target = {row['target']:+d}"
+        for row in table
+    ]
+    print_result(result, resolve(args, config, "format", str, "text") == "json", lines)
     return EXIT_OK if met else EXIT_NO_SOLUTION
 
 
@@ -429,7 +388,6 @@ def build_parser():
     p.add_argument("--grid", type=parse_grid, help="x0:x1:n, applied to both axes")
     p.add_argument("--convention", choices=phasespace.CONVENTIONS)
     p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(func=cmd_qfunc)
 
     p = sub.add_parser("cat-diagnose", help="lobe angles and best cat fit")

@@ -135,11 +135,14 @@ def _log_coherent_amps(alpha: complex, cutoff: int) -> np.ndarray:
     return out
 
 
+def poisson_weights(alpha: complex, cutoff: int) -> np.ndarray:
+    """p_n = e^{-|alpha|^2} |alpha|^{2n} / n!  (photon statistics of |alpha>)."""
+    return np.exp(2.0 * _log_coherent_amps(alpha, cutoff).real)
+
+
 def coherent_leakage(alpha: complex, cutoff: int) -> float:
     """Probability weight lost to truncation, 1 - sum_n |c_n|^2."""
-    logs = _log_coherent_amps(alpha, cutoff)
-    weights = np.exp(2.0 * logs.real)
-    return max(0.0, 1.0 - float(np.sum(weights)))
+    return max(0.0, 1.0 - float(np.sum(poisson_weights(alpha, cutoff))))
 
 
 def coherent_state(alpha: complex, cutoff: int) -> FockVector:

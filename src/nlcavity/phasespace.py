@@ -15,9 +15,14 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
-from .fock import FockVector, fidelity
+from .fock import FockVector, _log_coherent_amps, default_cutoff, fidelity, poisson_weights
 
 CONVENTIONS = ("paper-unnormalized", "normalized")
+
+# cat_diagnostics: spacing of the angles sampled on the circle, and the
+# fraction of the circle's maximum Q a local maximum needs to count as a lobe.
+ANGULAR_RESOLUTION = 0.005
+LOBE_THRESHOLD = 0.05
 
 
 @dataclass
@@ -105,17 +110,6 @@ def q_function(
     return QGrid(tuple(x_range), tuple(p_range), resolution, values, convention)
 
 
-def poisson_weights(alpha: complex, cutoff: int) -> np.ndarray:
-    """p_n = e^{-|alpha|^2} |alpha|^{2n} / n!  (photon statistics of |alpha>)."""
-    n = np.arange(cutoff + 1)
-    r2 = abs(alpha) ** 2
-    if r2 == 0:
-        w = np.zeros(cutoff + 1)
-        w[0] = 1.0
-        return w
-    return np.exp(-r2 + n * math.log(r2) - gammaln(n + 1))
-
-
 def exact_circle_amplitude(alpha, theta, phi, cutoff=None):
     """A(phi) = sum_n p_n(alpha) e^{i(theta sqrt(n) - phi n)} on |beta|=|alpha|.
 
@@ -123,8 +117,7 @@ def exact_circle_amplitude(alpha, theta, phi, cutoff=None):
     distribution). phi may be an array.
     """
     if cutoff is None:
-        r = abs(alpha)
-        cutoff = math.ceil(r * r + 8.0 * r + 20.0)
+        cutoff = default_cutoff(alpha)
     n = np.arange(cutoff + 1)
     w = poisson_weights(alpha, cutoff) * np.exp(1j * theta * np.sqrt(n))
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -165,22 +158,11 @@ def circle_q_values(state: FockVector, radius: float, phis: np.ndarray) -> np.nd
     return np.abs(coherent_overlap(betas, state)) ** 2
 
 
-def _coherent_amps_unchecked(gamma: complex, cutoff: int) -> np.ndarray:
-    n = np.arange(cutoff + 1)
-    if gamma == 0:
-        amps = np.zeros(cutoff + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    return np.exp(
-        -abs(gamma) ** 2 / 2.0 + n * np.log(complex(gamma)) - 0.5 * gammaln(n + 1)
-    )
-
-
 def cat_vector(gamma: complex, xi: float, cutoff: int) -> FockVector:
     """Normalized (|gamma> + e^{i xi} |-gamma>) on the truncated space."""
-    amps = _coherent_amps_unchecked(gamma, cutoff) + np.exp(
-        1j * xi
-    ) * _coherent_amps_unchecked(-gamma, cutoff)
+    amps = np.exp(_log_coherent_amps(gamma, cutoff)) + np.exp(1j * xi) * np.exp(
+        _log_coherent_amps(-gamma, cutoff)
+    )
     return FockVector(amps / np.linalg.norm(amps), cutoff)
 
 
@@ -210,28 +192,23 @@ def _best_cat_fit(state: FockVector, gamma0: complex):
     return gamma0, best[0][2], best[1]
 
 
-def cat_diagnostics(
-    state: FockVector,
-    alpha: complex,
-    angular_resolution: float = 0.005,
-    lobe_threshold: float = 0.05,
-):
+def cat_diagnostics(state: FockVector, alpha: complex):
     """Locate the lobes of the conditional state on the circle |beta| = |alpha|
     and fit the best coherent-superposition (cat) approximation.
 
-    Lobes are local maxima of the circle-restricted Q above lobe_threshold
+    Lobes are local maxima of the circle-restricted Q above LOBE_THRESHOLD
     of the global maximum. Returns a dict with lobe_angles (sorted),
     lobe_separation (phase-space distance between the two dominant lobes),
     best_cat_fidelity, and a degenerate flag when fewer than two lobes exist.
     """
     radius = abs(alpha)
-    n_phi = max(16, int(math.ceil(2.0 * math.pi / angular_resolution)))
+    n_phi = max(16, int(math.ceil(2.0 * math.pi / ANGULAR_RESOLUTION)))
     phis = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
     q = circle_q_values(state, radius, phis)
     qmax = float(q.max())
     if qmax == 0.0:
         raise ValueError("state has no support on the circle |beta| = |alpha|")
-    is_max = (q > np.roll(q, 1)) & (q >= np.roll(q, -1)) & (q >= lobe_threshold * qmax)
+    is_max = (q > np.roll(q, 1)) & (q >= np.roll(q, -1)) & (q >= LOBE_THRESHOLD * qmax)
     lobe_idx = np.nonzero(is_max)[0]
     lobes = sorted(
         ((float(phis[i]), float(q[i])) for i in lobe_idx), key=lambda t: -t[1]

@@ -14,10 +14,21 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
+from . import atomfield
+
 SQRT2 = math.sqrt(2.0)
 
 # Ideal single-mode nonlinear-sign amplitudes on n = 0, 1, 2.
 NS_TARGET = np.array([1.0, 1.0, -1.0])
+
+# Two-atom search: number of grid seeds polished, and the smallest |B_n|
+# accepted (equal-but-tiny amplitude triples occur densely and give useless
+# success probability).
+MAX_SEEDS = 8
+MIN_MAGNITUDE = 0.5
+
+# Step of the qudit angle search's dense fallback scan.
+FALLBACK_STEP = 1e-3
 
 
 class NoThetaFoundError(RuntimeError):
@@ -84,7 +95,8 @@ def sqrt2_convergents(q_max: int):
 
 def ns_merit(tau: float) -> float:
     """Chebyshev distance of (A1, A2) from the ideal (1, -1)."""
-    return max(abs(1.0 - math.cos(tau)), abs(1.0 + math.cos(SQRT2 * tau)))
+    _, a1, a2 = atomfield.ns_amplitudes(tau)
+    return max(abs(1.0 - a1), abs(1.0 + a2))
 
 
 def ns_tau_candidates(max_tau: float):
@@ -113,11 +125,10 @@ def ns_tau_candidates(max_tau: float):
             tau = seed
         if tau <= 0 or tau > max_tau:
             continue
-        amps = (1.0, math.cos(tau), math.cos(SQRT2 * tau))
         sols.append(
             TauSolution(
                 taus=[tau],
-                amplitudes=amps,
+                amplitudes=atomfield.ns_amplitudes(tau),
                 merit=ns_merit(tau),
                 target=tuple(NS_TARGET),
             )
@@ -128,23 +139,20 @@ def ns_tau_candidates(max_tau: float):
 
 def two_atom_amplitudes(tau1: float, tau2: float) -> np.ndarray:
     """B_n = cos(tau1 sqrt(n)) cos(tau2 sqrt(n+1)) for n = 0, 1, 2."""
-    n = np.arange(3)
-    return np.cos(tau1 * np.sqrt(n)) * np.cos(tau2 * np.sqrt(n + 1))
-
-
-def _two_atom_spread(taus) -> float:
-    mags = np.abs(two_atom_amplitudes(taus[0], taus[1]))
-    return float(mags.max() - mags.min())
+    ground = atomfield.upsilon_factors(tau1, 2, atomfield.GROUND)
+    return ground * atomfield.upsilon_factors(tau2, 2, atomfield.EXCITED)
 
 
 def _two_atom_polish_objective(taus) -> float:
+    """Spread max|B_n| - min|B_n|, plus 1 for each broken requirement: the
+    sign pattern and min|B_n| >= MIN_MAGNITUDE."""
     b = two_atom_amplitudes(taus[0], taus[1])
     mags = np.abs(b)
     penalty = 0.0
     s = np.sign(b)
     if not (s[0] == s[1] and s[2] == -s[0]):  # NS pattern up to global phase
         penalty += 1.0
-    if mags.min() < 0.5:  # reject degenerate equal-but-tiny magnitudes
+    if mags.min() < MIN_MAGNITUDE:
         penalty += 1.0
     return float(mags.max() - mags.min()) + penalty
 
@@ -154,8 +162,6 @@ def two_atom_search(
     tau2_range=(1.0, 250.0),
     target_merit=1e-6,
     step=0.05,
-    max_seeds=8,
-    min_magnitude=0.5,
 ):
     """Find (tau1, tau2) whose combined amplitudes have equal magnitudes and
     the nonlinear-sign pattern up to a global sign.
@@ -163,9 +169,8 @@ def two_atom_search(
     A vectorized coarse grid ranks points by Chebyshev distance to the ideal
     +-(1, 1, -1); the best well-separated grid points are polished with
     Nelder-Mead on the equal-magnitude spread. Solutions with spread <=
-    target_merit and every |B_n| >= min_magnitude (equal-but-tiny amplitude
-    triples occur densely and give useless success probability) are returned
-    sorted by merit, the Chebyshev distance to the signed target.
+    target_merit and every |B_n| >= MIN_MAGNITUDE are returned sorted by
+    merit, the Chebyshev distance to the signed target.
     """
     if tau1_range[0] <= 0 or tau2_range[0] <= 0:
         raise ValueError("tau ranges must be positive")
@@ -173,9 +178,8 @@ def two_atom_search(
         raise ValueError("target_merit must be in (0, 1)")
     t1 = np.arange(tau1_range[0], tau1_range[1] + step / 2.0, step)
     t2 = np.arange(tau2_range[0], tau2_range[1] + step / 2.0, step)
-    n = np.arange(3)
-    c1 = np.cos(np.outer(np.sqrt(n), t1))  # (3, n1)
-    c2 = np.cos(np.outer(np.sqrt(n + 1), t2))  # (3, n2)
+    c1 = atomfield.upsilon_factors(t1, 2, atomfield.GROUND).T  # (3, n1)
+    c2 = atomfield.upsilon_factors(t2, 2, atomfield.EXCITED).T  # (3, n2)
 
     d_plus = np.zeros((t1.size, t2.size))
     d_minus = np.zeros((t1.size, t2.size))
@@ -193,7 +197,7 @@ def two_atom_search(
         if any(abs(cand[0] - s[0]) < 1.0 and abs(cand[1] - s[1]) < 1.0 for s in seeds):
             continue
         seeds.append(cand)
-        if len(seeds) >= max_seeds:
+        if len(seeds) >= MAX_SEEDS:
             break
 
     sols = []
@@ -207,20 +211,16 @@ def two_atom_search(
         taus = [float(res.x[0]), float(res.x[1])]
         if _two_atom_polish_objective(taus) > _two_atom_polish_objective(seed):
             taus = list(seed)
-        b = two_atom_amplitudes(taus[0], taus[1])
-        s = np.sign(b)
-        if not (s[0] == s[1] and s[2] == -s[0]):
-            continue
-        if _two_atom_spread(taus) > target_merit:
-            continue
-        if np.min(np.abs(b)) < min_magnitude:
+        # target_merit < 1, so this also rejects every penalized point.
+        if _two_atom_polish_objective(taus) > target_merit:
             continue
         # Polishing is unconstrained; keep only optima inside the window.
         if not (tau1_range[0] <= taus[0] <= tau1_range[1]):
             continue
         if not (tau2_range[0] <= taus[1] <= tau2_range[1]):
             continue
-        target = s[0] * NS_TARGET
+        b = two_atom_amplitudes(taus[0], taus[1])
+        target = np.sign(b[0]) * NS_TARGET
         sols.append(
             TauSolution(
                 taus=taus,
@@ -245,24 +245,27 @@ def two_atom_search(
 
 def pattern_error(theta: float, pattern: SignPattern) -> float:
     """max_n |cos(theta sqrt(n)) - s_n| over the pattern's levels."""
-    n = np.arange(pattern.cutoff + 1)
-    return float(np.max(np.abs(np.cos(theta * np.sqrt(n)) - pattern.signs)))
+    factors = atomfield.upsilon_factors(theta, pattern.cutoff, atomfield.GROUND)
+    return float(np.max(np.abs(factors - pattern.signs)))
 
 
 def qudit_theta_search(
     pattern: SignPattern,
     tolerance: float,
     theta_bound: float = 2.0e5,
-    fallback_step: float = 1e-3,
     fallback_bound: float = 2000.0,
 ):
-    """Smallest angle theta with cos(theta sqrt(n)) matching the sign pattern
-    to within `tolerance` for every n up to the pattern cutoff.
+    """An angle theta with cos(theta sqrt(n)) matching the sign pattern to
+    within `tolerance` for every n up to the pattern cutoff.
 
-    Primary family: theta_l = (2l+1) pi / sqrt(2), which pins cos(theta
-    sqrt(2 j^2)) to exactly (-1)^j for all j, matching the flip set
-    n = 2(2m+1)^2. If no family member under theta_bound works, a dense
-    scan with local refinement is tried before giving up.
+    Returns the first member of the family theta_l = (2l+1) pi / sqrt(2),
+    l = 0, 1, ..., under theta_bound that meets the tolerance: the family
+    pins cos(theta sqrt(2 j^2)) to exactly (-1)^j for all j, matching the
+    flip set n = 2(2m+1)^2. If none does, it returns the first hit of a
+    dense scan below min(theta_bound, fallback_bound), locally refined.
+    Neither is guaranteed to be the smallest such angle: at n_max = 2 and
+    tolerance 0.05 it returns 37.7645, while theta ~ 6.4398 already meets
+    the tolerance. Raises NoThetaFoundError when both searches fail.
     """
     if not 0.0 < tolerance < 0.5:
         raise ValueError("tolerance must be in (0, 0.5)")
@@ -283,12 +286,10 @@ def qudit_theta_search(
         l += 1
 
     # Dense fallback scan, then polish the best bracket found.
-    thetas = np.arange(fallback_step, min(theta_bound, fallback_bound), fallback_step)
-    n = np.arange(pattern.cutoff + 1)
+    thetas = np.arange(FALLBACK_STEP, min(theta_bound, fallback_bound), FALLBACK_STEP)
     for chunk in np.array_split(thetas, max(1, thetas.size // 20000)):
-        errs = np.max(
-            np.abs(np.cos(np.outer(chunk, np.sqrt(n))) - pattern.signs), axis=1
-        )
+        factors = atomfield.upsilon_factors(chunk, pattern.cutoff, atomfield.GROUND)
+        errs = np.max(np.abs(factors - pattern.signs), axis=1)
         k = int(np.argmin(errs))
         if errs[k] < best_err:
             best_theta, best_err = float(chunk[k]), float(errs[k])
@@ -297,7 +298,7 @@ def qudit_theta_search(
             theta0 = float(chunk[hits[0]])
             res = minimize_scalar(
                 lambda t: pattern_error(t, pattern),
-                bounds=(theta0 - fallback_step, theta0 + fallback_step),
+                bounds=(theta0 - FALLBACK_STEP, theta0 + FALLBACK_STEP),
                 method="bounded",
                 options={"xatol": 1e-12},
             )

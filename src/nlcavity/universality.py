@@ -21,7 +21,6 @@ import numpy as np
 
 from .fock import (
     FockOperator,
-    annihilation,
     displacement,
     expm_antihermitian,
     number_op,

@@ -14,6 +14,8 @@ from nlcavity import (
     ns_amplitudes,
     ns_gate_check,
 )
+from nlcavity.atomfield import EXCITED, GROUND, upsilon_factors
+from nlcavity.search import two_atom_amplitudes
 from conftest import random_state
 
 SQRT2 = math.sqrt(2.0)
@@ -71,6 +73,26 @@ class TestJointEvolution:
         eg = conditional_block(u, "g", "e").matrix @ state.amps
         total = np.sum(np.abs(gg) ** 2) + np.sum(np.abs(eg) ** 2)
         assert abs(total - 1.0) < 1e-10
+
+
+class TestUpsilonFactors:
+    @pytest.mark.parametrize("variant", [GROUND, EXCITED])
+    def test_array_rows_equal_scalar_calls(self, variant):
+        taus = np.linspace(0.3, 250.0, 7)
+        table = upsilon_factors(taus, 12, variant)
+        for tau, row in zip(taus, table):
+            assert np.array_equal(row, upsilon_factors(float(tau), 12, variant))
+
+    @pytest.mark.parametrize("variant", [GROUND, EXCITED])
+    def test_array_shape(self, variant):
+        taus = np.arange(6.0).reshape(2, 3)
+        assert upsilon_factors(taus, 4, variant).shape == (2, 3, 5)
+        assert upsilon_factors(1.5, 4, variant).shape == (5,)
+
+    def test_two_atom_amplitudes_is_product_of_factors(self):
+        t1, t2 = 37.79300921, 197.78109842
+        expected = upsilon_factors(t1, 2, GROUND) * upsilon_factors(t2, 2, EXCITED)
+        assert np.array_equal(two_atom_amplitudes(t1, t2), expected)
 
 
 class TestApplyUpsilon:

@@ -126,6 +126,9 @@ class TestQfunc:
         rc = main(["qfunc", "--alpha", "2", "--grid", "bad", "--out", str(tmp_path)])
         assert rc == EXIT_INVALID_CONFIG
 
+    def test_format_flag_is_rejected(self, tmp_path):
+        assert main(["qfunc", "--format", "csv", "--out", str(tmp_path)]) == EXIT_INVALID_CONFIG
+
 
 class TestUniversality:
     def test_default_summary(self, tmp_path):
