@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: ns-search, qfunc, universality, params, qudit-theta,
-cat-diagnose. All numeric output is fixed to 12 significant digits so a rerun
-with the same configuration is byte-identical. Plots are delegated to
-generated gnuplot scripts; every figure is reproducible from the CSV alone.
+cat-diagnose. Each command builds one result record of unrounded numbers,
+arrays and complex values; one emitter writes it as JSON, CSV or text and owns
+the rounding to 12 significant digits, so a rerun with the same configuration
+is byte-identical. Plots are delegated to generated gnuplot scripts; every
+figure is reproducible from the CSV alone.
 
 Exit codes: 0 success, 2 no solution, 3 invalid configuration,
 4 numerical guard abort.
@@ -15,6 +17,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import atomfield, labparams, phasespace, search
 from .fock import CutoffTooSmallError, coherent_state, default_cutoff
@@ -49,6 +53,25 @@ def fmt(x) -> str:
 def jround(x):
     """Round to the 12-significant-digit output contract."""
     return float(fmt(x))
+
+
+def rounded(value):
+    """A result record as JSON data under the 12-significant-digit contract.
+
+    Floats (numpy floats included) are rounded, a complex becomes [re, im],
+    arrays and tuples become lists; ints, bools, strings and None pass.
+    Float comes first: a Q grid holds tens of thousands of them."""
+    if isinstance(value, float):
+        return jround(value)
+    if isinstance(value, complex):
+        return [jround(value.real), jround(value.imag)]
+    if isinstance(value, dict):
+        return {key: rounded(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [rounded(v) for v in value]
+    return value
 
 
 def parse_range(text):
@@ -99,33 +122,24 @@ def load_config(path):
     return values
 
 
-def resolve(args, config, key, convert, default):
-    """Precedence: explicit flag > config file > built-in default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return convert(config[key])
-    return default
-
-
 def write_csv(path, header, rows):
+    """Write the header, then rows of numbers, each cell formatted by fmt."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows([fmt(v) for v in row] for row in rows)
 
 
-def write_json(path, obj):
+def write_json(path, record):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(rounded(record), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def print_result(result, as_json, text_lines):
     """Print a command's result record as JSON, or as the given text lines."""
     if as_json:
-        print(json.dumps(result, indent=2, sort_keys=True))
+        print(json.dumps(rounded(result), indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -134,37 +148,28 @@ def print_result(result, as_json, text_lines):
 # ---------------------------------------------------------------- ns-search
 
 
-def cmd_ns_search(args, config):
-    out_dir = Path(resolve(args, config, "out", str, "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_ns_search(args):
+    args.out.mkdir(parents=True, exist_ok=True)
     if args.two_atom:
-        r1 = resolve(args, config, "tau1_range", parse_range, (1.0, 60.0))
-        r2 = resolve(args, config, "tau2_range", parse_range, (1.0, 250.0))
-        step = resolve(args, config, "step", float, 0.05)
-        merit = resolve(args, config, "target_merit", float, 1e-6)
-        sols = search.two_atom_search(r1, r2, target_merit=merit, step=step)
+        sols = search.two_atom_search(
+            args.tau1_range, args.tau2_range, target_merit=args.target_merit, step=args.step
+        )
         stem, tau_names, letter = "two_atom", ("tau1", "tau2"), "B"
     else:
-        max_tau = resolve(args, config, "max_tau", float, 250.0)
-        sols = search.ns_tau_candidates(max_tau)
+        sols = search.ns_tau_candidates(args.max_tau)
         stem, tau_names, letter = "table1", ("tau",), "A"
     header = [*tau_names, *(f"{letter}{k}" for k in range(3)), "merit"]
-    rows = [[fmt(v) for v in (*s.taus, *s.amplitudes, s.merit)] for s in sols]
-    write_csv(out_dir / f"{stem}.csv", header, rows)
-    if resolve(args, config, "format", str, "csv") == "json":
+    write_csv(args.out / f"{stem}.csv", header, [(*s.taus, *s.amplitudes, s.merit) for s in sols])
+    if args.format == "json":
         records = [
-            {
-                **{name: jround(t) for name, t in zip(tau_names, s.taus)},
-                "amplitudes": [jround(a) for a in s.amplitudes],
-                "merit": jround(s.merit),
-            }
+            {**dict(zip(tau_names, s.taus)), "amplitudes": s.amplitudes, "merit": s.merit}
             for s in sols
         ]
-        write_json(out_dir / f"{stem}.json", {"solutions": records})
+        write_json(args.out / f"{stem}.json", {"solutions": records})
     if not sols:
         print("no solutions in the requested range", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    print(f"wrote {len(sols)} solution(s) to {out_dir}")
+    print(f"wrote {len(sols)} solution(s) to {args.out}")
     return EXIT_OK
 
 
@@ -184,154 +189,114 @@ pause -1
 """
 
 
-def cmd_qfunc(args, config):
-    out_dir = Path(resolve(args, config, "out", str, "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    alpha = resolve(args, config, "alpha", complex, 10.0)
-    theta = resolve(args, config, "theta", float, 10.0 * math.pi)
-    cutoff = resolve(args, config, "cutoff", int, None) or default_cutoff(alpha)
-    x0, x1, n = resolve(args, config, "grid", parse_grid, (-15.0, 15.0, 301))
-    convention = resolve(args, config, "convention", str, "paper-unnormalized")
+def _conditional(args):
+    """The cutoff and the state after one conditional step on |alpha>."""
+    cutoff = args.cutoff or default_cutoff(args.alpha)
+    return cutoff, atomfield.apply_upsilon(coherent_state(args.alpha, cutoff), args.theta)
 
-    state = atomfield.apply_upsilon(coherent_state(alpha, cutoff), theta).raw
+
+def cmd_qfunc(args):
+    args.out.mkdir(parents=True, exist_ok=True)
+    cutoff, cond = _conditional(args)
+    x0, x1, n = args.grid
     grid = phasespace.q_function(
-        state, x_range=(x0, x1), p_range=(x0, x1), resolution=n, convention=convention
+        cond.raw, x_range=(x0, x1), p_range=(x0, x1), resolution=n, convention=args.convention
     )
-    x, p = grid.axes()
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            rows.append([fmt(x[j]), fmt(p[i]), fmt(grid.values[i, j])])
-    write_csv(out_dir / "qgrid.csv", ["x", "p", "Q"], rows)
+    x, p = (axis.tolist() for axis in grid.axes())
+    rows = ((xj, pi, q) for pi, row in zip(p, grid.values.tolist()) for xj, q in zip(x, row))
+    write_csv(args.out / "qgrid.csv", ["x", "p", "Q"], rows)
     write_json(
-        out_dir / "qgrid.json",
+        args.out / "qgrid.json",
         {
-            "alpha": [jround(complex(alpha).real), jround(complex(alpha).imag)],
-            "theta": jround(theta),
+            "alpha": complex(args.alpha),
+            "theta": args.theta,
             "cutoff": cutoff,
-            "convention": convention,
-            "x_range": [jround(x0), jround(x1)],
-            "p_range": [jround(x0), jround(x1)],
+            "convention": args.convention,
+            "x_range": (x0, x1),
+            "p_range": (x0, x1),
             "resolution": n,
-            "values_row_major": [jround(v) for v in grid.values.ravel()],
+            "values_row_major": grid.values.ravel(),
         },
     )
-    (out_dir / "qgrid.gp").write_text(
+    (args.out / "qgrid.gp").write_text(
         GNUPLOT_TEMPLATE.format(
-            name="qgrid", title=f"Q function, alpha={alpha}, theta={fmt(theta)}"
+            name="qgrid", title=f"Q function, alpha={args.alpha}, theta={fmt(args.theta)}"
         )
     )
-    diag = phasespace.cat_diagnostics(state, alpha)
-    write_json(out_dir / "lobes.json", _diag_to_json(diag))
-    print(f"wrote qgrid.csv, qgrid.json, qgrid.gp, lobes.json to {out_dir}")
+    write_json(args.out / "lobes.json", phasespace.cat_diagnostics(cond.raw, args.alpha))
+    print(f"wrote qgrid.csv, qgrid.json, qgrid.gp, lobes.json to {args.out}")
     return EXIT_OK
 
 
-def _diag_to_json(diag):
-    out = {
-        "lobe_angles": [jround(a) for a in diag["lobe_angles"]],
-        "lobe_q_values": [jround(v) for v in diag["lobe_q_values"]],
-        "degenerate": diag["degenerate"],
-        "lobe_separation": None
-        if diag["lobe_separation"] is None
-        else jround(diag["lobe_separation"]),
-        "best_cat_fidelity": None
-        if diag["best_cat_fidelity"] is None
-        else jround(diag["best_cat_fidelity"]),
-    }
-    if "cat_gamma" in diag:
-        out["cat_gamma"] = [jround(diag["cat_gamma"].real), jround(diag["cat_gamma"].imag)]
-        out["cat_xi"] = jround(diag["cat_xi"])
-    if "single_lobe_angle" in diag:
-        out["single_lobe_angle"] = jround(diag["single_lobe_angle"])
-    return out
-
-
-def cmd_cat_diagnose(args, config):
-    alpha = resolve(args, config, "alpha", complex, 10.0)
-    theta = resolve(args, config, "theta", float, 10.0 * math.pi)
-    cutoff = resolve(args, config, "cutoff", int, None) or default_cutoff(alpha)
-    cond = atomfield.apply_upsilon(coherent_state(alpha, cutoff), theta)
-    diag = _diag_to_json(phasespace.cat_diagnostics(cond.raw, alpha))
-    diag["success_probability"] = jround(cond.probability)
-    diag["alpha"] = [jround(complex(alpha).real), jround(complex(alpha).imag)]
-    diag["theta"] = jround(theta)
-    diag["cutoff"] = cutoff
+def cmd_cat_diagnose(args):
+    cutoff, cond = _conditional(args)
+    diag = phasespace.cat_diagnostics(cond.raw, args.alpha)
+    diag.update(
+        success_probability=cond.probability,
+        alpha=complex(args.alpha),
+        theta=args.theta,
+        cutoff=cutoff,
+    )
     print_result(diag, True, ())
-    out = resolve(args, config, "out", str, None)
-    if out is not None:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "cat.json", diag)
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        write_json(args.out / "cat.json", diag)
     return EXIT_OK
 
 
 # ------------------------------------------------------------- universality
 
 
-def cmd_universality(args, config):
-    out_dir = Path(resolve(args, config, "out", str, "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    alphas_text = resolve(args, config, "alphas", str, "4,6,8,12,16")
-    alphas = [float(v) for v in alphas_text.split(",") if v.strip()]
-    k = resolve(args, config, "subspace", int, 3)
+def cmd_universality(args):
+    args.out.mkdir(parents=True, exist_ok=True)
+    alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
     include_cubic = not args.drop_cubic
-    comps, exponent = residual_scaling(alphas, subspace_dim=k, include_cubic=include_cubic)
-    write_csv(
-        out_dir / "scaling.csv",
-        ["alpha", "residual"],
-        [[fmt(abs(c.alpha)), fmt(c.residual_norm)] for c in comps],
+    comps, exponent = residual_scaling(
+        alphas, subspace_dim=args.subspace, include_cubic=include_cubic
     )
+    magnitudes = [abs(c.alpha) for c in comps]
+    residuals = [c.residual_norm for c in comps]
+    write_csv(args.out / "scaling.csv", ["alpha", "residual"], zip(magnitudes, residuals))
     write_json(
-        out_dir / "summary.json",
+        args.out / "summary.json",
         {
-            "alphas": [jround(abs(c.alpha)) for c in comps],
-            "residuals": [jround(c.residual_norm) for c in comps],
-            "subspace_dim": k,
+            "alphas": magnitudes,
+            "residuals": residuals,
+            "subspace_dim": args.subspace,
             "include_cubic": include_cubic,
-            "exponent": None if exponent is None else jround(exponent),
+            "exponent": exponent,
         },
     )
     shown = "null" if exponent is None else fmt(exponent)
-    print(f"fitted exponent: {shown}; wrote scaling.csv, summary.json to {out_dir}")
+    print(f"fitted exponent: {shown}; wrote scaling.csv, summary.json to {args.out}")
     return EXIT_OK
 
 
 # ------------------------------------------------------------------- params
 
 
-def cmd_params(args, config):
-    g = resolve(args, config, "g", parse_freq, None)
-    omega = resolve(args, config, "omega", parse_freq, None)
-    delta = resolve(args, config, "delta", parse_freq, None)
-    if g is None or omega is None or delta is None:
+def cmd_params(args):
+    if args.g is None or args.omega is None or args.delta is None:
         raise ConfigError("params requires --g, --omega and --delta")
-    params = labparams.RamanParams(g=g, omega=omega, delta=delta)
-    kap = labparams.kappa(params)
-    result = {
-        "kappa_rad_per_s": jround(kap),
-        "kappa_over_2pi_hz": jround(kap / (2.0 * math.pi)),
-    }
+    kap = labparams.kappa(labparams.RamanParams(g=args.g, omega=args.omega, delta=args.delta))
+    result = {"kappa_rad_per_s": kap, "kappa_over_2pi_hz": kap / (2.0 * math.pi)}
     lines = [f"kappa = {fmt(kap)} rad/s = 2pi x {fmt(kap / (2 * math.pi))} Hz"]
-    tau = resolve(args, config, "tau", float, None)
-    if tau is not None:
-        result["tau"] = jround(tau)
-        result["interaction_time_s"] = jround(labparams.interaction_time(tau, kap))
-        lines.append(f"t(tau={fmt(tau)}) = {fmt(result['interaction_time_s'])} s")
-    print_result(result, resolve(args, config, "format", str, "text") == "json", lines)
+    if args.tau is not None:
+        t = labparams.interaction_time(args.tau, kap)
+        result.update(tau=args.tau, interaction_time_s=t)
+        lines.append(f"t(tau={fmt(args.tau)}) = {fmt(t)} s")
+    print_result(result, args.format == "json", lines)
     return EXIT_OK
 
 
 # -------------------------------------------------------------- qudit-theta
 
 
-def cmd_qudit_theta(args, config):
-    n_max = resolve(args, config, "n_max", int, 2)
-    tolerance = resolve(args, config, "tolerance", float, 0.01)
-    pattern = search.sign_pattern(n_max)
+def cmd_qudit_theta(args):
+    pattern = search.sign_pattern(args.n_max)
     met = True
     try:
-        theta, worst = search.qudit_theta_search(pattern, tolerance)
+        theta, worst = search.qudit_theta_search(pattern, args.tolerance)
     except search.NoThetaFoundError as exc:
         # Report the best angle found anyway: the target column of the table
         # is still meaningful, and the worst_error field records the miss.
@@ -341,67 +306,67 @@ def cmd_qudit_theta(args, config):
         theta, worst = exc.best_theta, exc.best_error
         print(f"no solution: {exc}", file=sys.stderr)
     table = [
-        {
-            "n": int(n),
-            "cos": jround(math.cos(theta * math.sqrt(n))),
-            "target": int(pattern.signs[n]),
-        }
-        for n in range(n_max + 1)
+        {"n": n, "cos": math.cos(theta * math.sqrt(n)), "target": int(pattern.signs[n])}
+        for n in range(args.n_max + 1)
     ]
-    result = {
-        "theta": jround(theta),
-        "worst_error": jround(worst),
-        "tolerance": tolerance,
-        "table": table,
-    }
+    result = {"theta": theta, "worst_error": worst, "tolerance": args.tolerance, "table": table}
     lines = [f"theta = {fmt(theta)}  worst error = {fmt(worst)}"] + [
         f"  n={row['n']:3d}  cos = {fmt(row['cos']):>18s}  target = {row['target']:+d}"
         for row in table
     ]
-    print_result(result, resolve(args, config, "format", str, "text") == "json", lines)
+    print_result(result, args.format == "json", lines)
     return EXIT_OK if met else EXIT_NO_SOLUTION
 
 
 # --------------------------------------------------------------------- main
 
 
-def build_parser():
+def build_parser(config=None):
+    """The CLI parser. `config` (key -> string) sets the subcommands'
+    defaults; argparse converts them with each option's own type."""
     parser = _Parser(prog="nlcavity", description=__doc__)
     parser.add_argument("--config", help="flat key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ns-search", help="interaction-time search for the sign gate")
-    p.add_argument("--max-tau", dest="max_tau", type=float)
+    p.add_argument("--max-tau", dest="max_tau", type=float, default=250.0)
     p.add_argument("--two-atom", dest="two_atom", action="store_true")
-    p.add_argument("--tau1-range", dest="tau1_range", type=parse_range)
-    p.add_argument("--tau2-range", dest="tau2_range", type=parse_range)
-    p.add_argument("--step", type=float)
-    p.add_argument("--target-merit", dest="target_merit", type=float)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--tau1-range", dest="tau1_range", type=parse_range, default=(1.0, 60.0))
+    p.add_argument("--tau2-range", dest="tau2_range", type=parse_range, default=(1.0, 250.0))
+    p.add_argument("--step", type=float, default=0.05)
+    p.add_argument("--target-merit", dest="target_merit", type=float, default=1e-6)
+    p.add_argument("--out", type=Path, default=".")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_ns_search)
 
     p = sub.add_parser("qfunc", help="Q-function grid for a conditional state")
-    p.add_argument("--alpha", type=complex)
-    p.add_argument("--theta", type=float)
+    p.add_argument("--alpha", type=complex, default=10.0)
+    p.add_argument("--theta", type=float, default=10.0 * math.pi)
     p.add_argument("--cutoff", type=int)
-    p.add_argument("--grid", type=parse_grid, help="x0:x1:n, applied to both axes")
-    p.add_argument("--convention", choices=phasespace.CONVENTIONS)
-    p.add_argument("--out")
+    p.add_argument(
+        "--grid",
+        type=parse_grid,
+        default=(-15.0, 15.0, 301),
+        help="x0:x1:n, applied to both axes",
+    )
+    p.add_argument("--convention", choices=phasespace.CONVENTIONS, default="paper-unnormalized")
+    p.add_argument("--out", type=Path, default=".")
     p.set_defaults(func=cmd_qfunc)
 
     p = sub.add_parser("cat-diagnose", help="lobe angles and best cat fit")
-    p.add_argument("--alpha", type=complex)
-    p.add_argument("--theta", type=float)
+    p.add_argument("--alpha", type=complex, default=10.0)
+    p.add_argument("--theta", type=float, default=10.0 * math.pi)
     p.add_argument("--cutoff", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", type=Path)
     p.set_defaults(func=cmd_cat_diagnose)
 
     p = sub.add_parser("universality", help="generator-series residual scaling")
-    p.add_argument("--alphas", help="comma-separated displacement magnitudes")
-    p.add_argument("--subspace", type=int)
+    p.add_argument(
+        "--alphas", default="4,6,8,12,16", help="comma-separated displacement magnitudes"
+    )
+    p.add_argument("--subspace", type=int, default=3)
     p.add_argument("--drop-cubic", dest="drop_cubic", action="store_true")
-    p.add_argument("--out")
+    p.add_argument("--out", type=Path, default=".")
     p.set_defaults(func=cmd_universality)
 
     p = sub.add_parser("params", help="effective coupling and lab time")
@@ -409,24 +374,30 @@ def build_parser():
     p.add_argument("--omega", type=parse_freq)
     p.add_argument("--delta", type=parse_freq)
     p.add_argument("--tau", type=float)
-    p.add_argument("--format", choices=("text", "json"))
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("qudit-theta", help="sign-shift angle search")
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--format", choices=("text", "json"))
+    p.add_argument("--n-max", dest="n_max", type=int, default=2)
+    p.add_argument("--tolerance", type=float, default=0.01)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_qudit_theta)
 
+    config = config or {}
+    for p in sub.choices.values():
+        # Value-taking options only: an on/off flag would store the truthy
+        # string "false", and internal dests such as `func` are not options.
+        options = [a.dest for a in p._actions if a.nargs != 0]
+        p.set_defaults(**{key: config[key] for key in options if key in config})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = build_parser(load_config(args.config)).parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse error path
         return int(exc.code or 0)
     except ConfigError as exc:

@@ -225,12 +225,10 @@ def cat_diagnostics(state: FockVector, alpha: complex):
         b1 = radius * np.exp(1j * lobes[0][0])
         b2 = radius * np.exp(1j * lobes[1][0])
         result["lobe_separation"] = float(abs(b1 - b2))
-        gamma0 = radius * np.exp(1j * lobes[0][0])
-        gamma, xi, fid = _best_cat_fit(state, gamma0)
+        gamma, xi, fid = _best_cat_fit(state, b1)
         result["best_cat_fidelity"] = fid
         result["cat_gamma"] = gamma
         result["cat_xi"] = xi
     elif lobes:
-        gamma0 = radius * np.exp(1j * lobes[0][0])
         result["single_lobe_angle"] = lobes[0][0]
     return result

@@ -98,7 +98,6 @@ def generator_residual(
     generators on photon numbers n <= subspace_dim."""
     if cutoff is None:
         cutoff = required_cutoff(alpha)
-    _check_guard(alpha, cutoff)
     phi = math.atan2(complex(alpha).imag, complex(alpha).real)
     g_exact = displaced_generator(alpha, cutoff).matrix
     g_series = series_generator(alpha, phi, cutoff, include_cubic).matrix
@@ -136,7 +135,6 @@ def unitary_consistency(
     """Max-norm disagreement, on n <= subspace_dim, between exponentiating
     the conjugated generator and conjugating the exponentiated one. An exact
     identity; the returned value measures truncation error only."""
-    _check_guard(alpha, cutoff)
     g = displaced_generator(alpha, cutoff)
     u1 = expm_antihermitian(FockOperator(1j * theta * g.matrix, cutoff)).matrix
     d = displacement(alpha, cutoff).matrix

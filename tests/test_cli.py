@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from nlcavity.cli import (
@@ -13,9 +14,11 @@ from nlcavity.cli import (
     EXIT_OK,
     main,
     parse_freq,
+    rounded,
 )
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def validate(path, schema_name):
@@ -239,6 +242,31 @@ class TestQuditTheta:
         flips = [row["n"] for row in out["table"] if row["target"] == -1]
         assert flips == [2, 18]
 
+    def test_tolerance_is_rounded(self, capsys):
+        rc = main(
+            ["qudit-theta", "--n-max", "2", "--tolerance", "0.0123456789012345", "--format", "json"]
+        )
+        assert rc == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["tolerance"] == 0.0123456789012
+
+
+class TestRounded:
+    def test_nested_containers(self):
+        record = {"a": [0.1234567890123456, (2.0, {"b": 1.0 / 3.0})]}
+        assert rounded(record) == {"a": [0.123456789012, [2.0, {"b": 0.333333333333}]]}
+
+    def test_numpy_values(self):
+        assert rounded(np.float64(2.0) / 3.0) == 0.666666666667
+        assert rounded(np.array([[1.0 / 7.0, 2.0]])) == [[0.142857142857, 2.0]]
+
+    def test_complex_is_pair(self):
+        assert rounded(1.0 / 3.0 - 2.0j) == [0.333333333333, -2.0]
+
+    def test_scalars_pass_through(self):
+        for value in (3, True, False, None, "text"):
+            assert rounded(value) is value
+
 
 class TestConfigFile:
     def test_flag_overrides_config(self, tmp_path, capsys):
@@ -254,6 +282,32 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not a key value pair\n")
         rc = main(["--config", str(cfg), "qudit-theta", "--n-max", "2"])
+        assert rc == EXIT_INVALID_CONFIG
+
+    @pytest.mark.filterwarnings("ignore:grid reaches")
+    def test_config_converts_like_flags(self, tmp_path):
+        # The same values as the golden qfunc_normalized case, from a config.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 3+2j\ngrid = -6:6:41\nconvention = normalized\ncutoff = 60\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "qfunc", "--out", str(out)]) == EXIT_OK
+        want = GOLDEN / "qfunc_normalized" / "files"
+        names = sorted(path.name for path in want.iterdir())
+        assert sorted(path.name for path in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_flags_and_internal_keys_ignored(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("two_atom = false\nfunc = x\n")
+        rc = main(["--config", str(cfg), "ns-search", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert (tmp_path / "table1.csv").exists()
+
+    def test_bad_config_value(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("alpha = abc\n")
+        rc = main(["--config", str(cfg), "cat-diagnose"])
         assert rc == EXIT_INVALID_CONFIG
 
     def test_unknown_flag_exit_code(self, capsys):
