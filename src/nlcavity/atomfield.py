@@ -129,7 +129,7 @@ def apply_sequence(state: FockVector, steps) -> ConditionalOutcome:
 
 def ns_amplitudes(tau: float):
     """(A0, A1, A2) = (1, cos tau, cos(sqrt(2) tau)) on the two-photon space."""
-    return (1.0, math.cos(tau), math.cos(math.sqrt(2.0) * tau))
+    return tuple(float(v) for v in upsilon_factors(tau, 2))
 
 
 def _as_steps(tau_or_steps):

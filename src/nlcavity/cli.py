@@ -45,6 +45,20 @@ class _Parser(argparse.ArgumentParser):
             return None
         return super()._parse_optional(arg_string)
 
+    # argparse checks choices only on given values; a default set from a
+    # config file must pass the same check, in the command that uses it.
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            value = getattr(namespace, action.dest, None)
+            if action.choices is not None and value not in action.choices:
+                allowed = ", ".join(map(repr, action.choices))
+                self.error(
+                    f"argument {'/'.join(action.option_strings)}: invalid choice: "
+                    f"{value!r} (choose from {allowed})"
+                )
+        return namespace, extras
+
 
 def fmt(x) -> str:
     return f"{float(x):.12g}"
@@ -110,8 +124,12 @@ def parse_freq(text) -> float:
 
 def load_config(path):
     """Flat key = value file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -300,14 +318,13 @@ def cmd_qudit_theta(args):
     except search.NoThetaFoundError as exc:
         # Report the best angle found anyway: the target column of the table
         # is still meaningful, and the worst_error field records the miss.
-        if exc.best_theta is None:
-            raise
         met = False
         theta, worst = exc.best_theta, exc.best_error
         print(f"no solution: {exc}", file=sys.stderr)
+    factors = atomfield.upsilon_factors(theta, args.n_max).tolist()
     table = [
-        {"n": n, "cos": math.cos(theta * math.sqrt(n)), "target": int(pattern.signs[n])}
-        for n in range(args.n_max + 1)
+        {"n": n, "cos": cos, "target": int(target)}
+        for n, (cos, target) in enumerate(zip(factors, pattern.signs))
     ]
     result = {"theta": theta, "worst_error": worst, "tolerance": args.tolerance, "table": table}
     lines = [f"theta = {fmt(theta)}  worst error = {fmt(worst)}"] + [

@@ -6,6 +6,10 @@ simultaneously, i.e. sqrt(2) ~ odd/even as a rational. Continued-fraction
 convergents of sqrt(2) with odd numerator and even denominator (3/2, 17/12,
 99/70, ...) therefore seed the search directly; a bounded 1D polish finishes
 the job. The two-atom search is a coarse grid plus Nelder-Mead polish.
+
+The qudit sign-shift angle needs no optimizer: an exact sieve over the arcs
+where each level meets the tolerance gives the lowest feasible interval
+below the angle bound, or certifies there is none.
 """
 
 import math
@@ -16,8 +20,6 @@ from scipy.optimize import minimize, minimize_scalar
 
 from . import atomfield
 
-SQRT2 = math.sqrt(2.0)
-
 # Ideal single-mode nonlinear-sign amplitudes on n = 0, 1, 2.
 NS_TARGET = np.array([1.0, 1.0, -1.0])
 
@@ -27,14 +29,15 @@ NS_TARGET = np.array([1.0, 1.0, -1.0])
 MAX_SEEDS = 8
 MIN_MAGNITUDE = 0.5
 
-# Step of the qudit angle search's dense fallback scan.
-FALLBACK_STEP = 1e-3
+# Halvings of the tolerance when the qudit angle search reports its best
+# angle on exhaustion.
+BISECTIONS = 30
 
 
 class NoThetaFoundError(RuntimeError):
     """Sign-shift angle search exhausted its bound."""
 
-    def __init__(self, message, best_theta=None, best_error=None):
+    def __init__(self, message, best_theta, best_error):
         super().__init__(message)
         self.best_theta = best_theta
         self.best_error = best_error
@@ -249,65 +252,68 @@ def pattern_error(theta: float, pattern: SignPattern) -> float:
     return float(np.max(np.abs(factors - pattern.signs)))
 
 
-def qudit_theta_search(
-    pattern: SignPattern,
-    tolerance: float,
-    theta_bound: float = 2.0e5,
-    fallback_bound: float = 2000.0,
-):
-    """An angle theta with cos(theta sqrt(n)) matching the sign pattern to
-    within `tolerance` for every n up to the pattern cutoff.
+def _lowest_midpoint(pattern: SignPattern, tolerance: float, theta_bound: float):
+    """Midpoint of the lowest interval of angles in (0, theta_bound] on which
+    every level meets |cos(theta sqrt(n)) - s_n| <= tolerance; None if there
+    is none.
 
-    Returns the first member of the family theta_l = (2l+1) pi / sqrt(2),
-    l = 0, 1, ..., under theta_bound that meets the tolerance: the family
-    pins cos(theta sqrt(2 j^2)) to exactly (-1)^j for all j, matching the
-    flip set n = 2(2m+1)^2. If none does, it returns the first hit of a
-    dense scan below min(theta_bound, fallback_bound), locally refined.
-    Neither is guaranteed to be the smallest such angle: at n_max = 2 and
-    tolerance 0.05 it returns 37.7645, while theta ~ 6.4398 already meets
-    the tolerance. Raises NoThetaFoundError when both searches fail.
+    At level n that set is the union of arcs theta sqrt(n) in
+    [c_n + 2 pi k - a, c_n + 2 pi k + a], a = acos(1 - tolerance), c_n = 0
+    for s_n = +1 and pi for s_n = -1. The sieve intersects the surviving
+    intervals with the arcs of one level after another; intervals stay
+    sorted, so the first survivor is the lowest."""
+    half = math.acos(1.0 - tolerance)
+    lo, hi = np.array([0.0]), np.array([float(theta_bound)])
+    for n in range(1, pattern.cutoff + 1):
+        root = math.sqrt(n)
+        centre = 0.0 if pattern.signs[n] > 0 else math.pi
+        # Arcs k_first .. k_first + count - 1 overlap each interval.
+        k_first = np.ceil((lo * root - centre - half) / (2.0 * math.pi))
+        k_last = np.floor((hi * root - centre + half) / (2.0 * math.pi))
+        count = np.maximum(k_last - k_first + 1.0, 0.0).astype(np.int64)
+        parent = np.repeat(np.arange(lo.size), count)
+        offset = np.arange(parent.size) - np.repeat(np.cumsum(count) - count, count)
+        arc = centre + 2.0 * math.pi * (k_first[parent] + offset)
+        lo = np.maximum(lo[parent], (arc - half) / root)
+        hi = np.minimum(hi[parent], (arc + half) / root)
+        keep = lo <= hi
+        lo, hi = lo[keep], hi[keep]
+        if not lo.size:
+            return None
+    return 0.5 * float(lo[0] + hi[0])
+
+
+def qudit_theta_search(pattern: SignPattern, tolerance: float, theta_bound: float = 2.0e5):
+    """An angle theta with cos(theta sqrt(n)) matching the sign pattern to
+    within `tolerance` for every n up to the pattern cutoff, and its error.
+
+    theta is the midpoint of the lowest interval of (0, theta_bound] on
+    which every level meets the tolerance (see _lowest_midpoint), so no lower
+    interval of angles meets it. If no angle below theta_bound does, raises
+    NoThetaFoundError, a certificate of that: its best_theta is the
+    midpoint of the lowest interval at the smallest tolerance the pattern
+    can meet below theta_bound, bisected on (tolerance, 2], and best_error
+    is the error there.
     """
     if not 0.0 < tolerance < 0.5:
         raise ValueError("tolerance must be in (0, 0.5)")
     if np.all(pattern.signs == 1.0):
         return 0.0, 0.0
 
-    best_theta, best_err = None, np.inf
-    l = 0
-    while True:
-        theta = (2 * l + 1) * math.pi / SQRT2
-        if theta > theta_bound:
-            break
-        err = pattern_error(theta, pattern)
-        if err < best_err:
-            best_theta, best_err = theta, err
-        if err <= tolerance:
-            return theta, err
-        l += 1
+    theta = _lowest_midpoint(pattern, tolerance, theta_bound)
+    if theta is not None:
+        return theta, pattern_error(theta, pattern)
 
-    # Dense fallback scan, then polish the best bracket found.
-    thetas = np.arange(FALLBACK_STEP, min(theta_bound, fallback_bound), FALLBACK_STEP)
-    for chunk in np.array_split(thetas, max(1, thetas.size // 20000)):
-        factors = atomfield.upsilon_factors(chunk, pattern.cutoff, atomfield.GROUND)
-        errs = np.max(np.abs(factors - pattern.signs), axis=1)
-        k = int(np.argmin(errs))
-        if errs[k] < best_err:
-            best_theta, best_err = float(chunk[k]), float(errs[k])
-        hits = np.nonzero(errs <= tolerance)[0]
-        if hits.size:
-            theta0 = float(chunk[hits[0]])
-            res = minimize_scalar(
-                lambda t: pattern_error(t, pattern),
-                bounds=(theta0 - FALLBACK_STEP, theta0 + FALLBACK_STEP),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            theta = float(res.x)
-            err = pattern_error(theta, pattern)
-            if err > errs[hits[0]]:
-                theta, err = theta0, float(errs[hits[0]])
-            return theta, err
-
+    # Every angle meets tolerance 2; bisect down to the smallest one met.
+    low, high = tolerance, 2.0
+    for _ in range(BISECTIONS):
+        mid = 0.5 * (low + high)
+        if _lowest_midpoint(pattern, mid, theta_bound) is None:
+            low = mid
+        else:
+            high = mid
+    best_theta = _lowest_midpoint(pattern, high, theta_bound)
+    best_err = pattern_error(best_theta, pattern)
     raise NoThetaFoundError(
         f"no theta within bound {theta_bound} meets tolerance {tolerance}; "
         f"best was theta={best_theta} with error {best_err:.3e}",

@@ -310,6 +310,26 @@ class TestConfigFile:
         rc = main(["--config", str(cfg), "cat-diagnose"])
         assert rc == EXIT_INVALID_CONFIG
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        rc = main(["--config", str(tmp_path / "missing.cfg"), "qudit-theta"])
+        assert rc == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err.startswith("invalid configuration: cannot read ")
+
+    def test_config_value_outside_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        rc = main(["--config", str(cfg), "qudit-theta"])
+        assert rc == EXIT_INVALID_CONFIG
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+    def test_choices_checked_in_the_command_run(self, tmp_path, capsys):
+        # format = text suits qudit-theta but not ns-search (csv or json).
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = text\n")
+        assert main(["--config", str(cfg), "qudit-theta"]) == EXIT_OK
+        rc = main(["--config", str(cfg), "ns-search", "--out", str(tmp_path)])
+        assert rc == EXIT_INVALID_CONFIG
+
     def test_unknown_flag_exit_code(self, capsys):
         rc = main(["ns-search", "--definitely-not-a-flag"])
         assert rc == EXIT_INVALID_CONFIG

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlcavity import (
     ns_tau_candidates,
+    pattern_error,
     qudit_theta_search,
     sign_pattern,
     two_atom_amplitudes,
@@ -137,11 +140,18 @@ class TestQuditThetaSearch:
         diag = np.cos(theta * np.sqrt(np.arange(3)))
         assert np.max(np.abs(diag - np.array([1.0, 1.0, -1.0]))) <= 0.01
 
-    def test_family_member_is_exact_on_sqrt2(self):
-        theta, _ = qudit_theta_search(sign_pattern(2), 0.01)
-        l = round((theta * SQRT2 / math.pi - 1) / 2)
-        assert abs(theta - (2 * l + 1) * math.pi / SQRT2) < 1e-9
-        assert abs(math.cos(theta * SQRT2) + 1.0) < 1e-12
+    def test_lowest_interval_at_tolerance_005(self):
+        # A dense scan (step 1e-5) meets tolerance 0.05 first on
+        # [6.43978, 6.60074]; the theta family's first hit is 37.7645.
+        theta, worst = qudit_theta_search(sign_pattern(2), 0.05)
+        assert 6.4397 <= theta <= 6.6008
+        assert worst <= 0.05
+
+    def test_lowest_interval_at_tolerance_001(self):
+        # The dense scan meets tolerance 0.01 first on [37.66443, 37.84065].
+        theta, worst = qudit_theta_search(sign_pattern(2), 0.01)
+        assert 37.6644 <= theta <= 37.8407
+        assert worst <= 0.01
 
     def test_result_satisfies_own_contract(self):
         for n_max, tol in ((2, 0.01), (3, 0.05), (5, 0.1)):
@@ -158,8 +168,40 @@ class TestQuditThetaSearch:
 
     def test_exhaustion_raises_with_diagnostics(self):
         with pytest.raises(NoThetaFoundError) as err:
-            qudit_theta_search(
-                sign_pattern(2), 1e-4, theta_bound=10.0, fallback_bound=10.0
-            )
+            qudit_theta_search(sign_pattern(2), 1e-4, theta_bound=10.0)
         assert err.value.best_theta is not None
         assert err.value.best_error > 1e-4
+
+
+def _scan_hits(pattern, tol, stop):
+    """Angles of a dense scan on (0, stop) that meet the tolerance, with a
+    step of a quarter of the half-width of the narrowest level's arcs."""
+    step = math.acos(1.0 - tol) / (4.0 * math.sqrt(pattern.cutoff))
+    roots = np.sqrt(np.arange(pattern.cutoff + 1))
+    hits = []
+    for start in np.arange(step, stop, 4096 * step):
+        thetas = np.arange(start, min(start + 4096 * step, stop), step)
+        errs = np.max(np.abs(np.cos(np.multiply.outer(thetas, roots)) - pattern.signs), axis=1)
+        hits.extend(thetas[errs <= tol])
+    return hits
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    n_max=st.integers(2, 5),
+    tol=st.floats(0.02, 0.3),
+    theta_bound=st.floats(5.0, 3000.0),
+)
+def test_sieve_meets_tolerance_at_lowest_interval(n_max, tol, theta_bound):
+    pattern = sign_pattern(n_max)
+    try:
+        theta, worst = qudit_theta_search(pattern, tol, theta_bound=theta_bound)
+    except NoThetaFoundError as exc:
+        assert exc.best_error > tol
+        assert exc.best_error == pattern_error(exc.best_theta, pattern)
+        assert not _scan_hits(pattern, tol, theta_bound)
+        return
+    assert 0.0 < theta <= theta_bound
+    assert worst == pattern_error(theta, pattern) <= tol
+    # The lowest interval lies inside one arc of level n_max, 2a/sqrt(n_max) wide.
+    assert not _scan_hits(pattern, tol, theta - 2.0 * math.acos(1.0 - tol) / math.sqrt(n_max))
