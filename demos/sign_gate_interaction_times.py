@@ -20,13 +20,13 @@ from nlcavity import (
     sqrt2_convergents,
 )
 
-print("convergents p/q of sqrt(2) (odd p / even q rows give seeds tau = pi q):")
+print("convergents p/q of sqrt(2) (odd p / even q rows give a time near pi q):")
 for p, q in sqrt2_convergents(500):
-    tag = "  <- seed" if p % 2 == 1 and q % 2 == 0 else ""
+    tag = "  <- sign gate" if p % 2 == 1 and q % 2 == 0 else ""
     print(f"  {p:5d}/{q:<5d}  pi*q = {math.pi * q:10.4f}{tag}")
 
 print()
-print("refined interaction times below tau = 250:")
+print("closed-form interaction times pi (p + q) / (1 + sqrt(2)) below tau = 250:")
 print(f"  {'tau':>12s} {'A1':>12s} {'A2':>12s} {'merit':>12s}")
 for sol in ns_tau_candidates(250.0):
     a0, a1, a2 = sol.amplitudes

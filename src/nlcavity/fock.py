@@ -121,17 +121,19 @@ def default_cutoff(alpha: complex) -> int:
     return math.ceil(r * r + 8.0 * r + 20.0)
 
 
-def _log_coherent_amps(alpha: complex, cutoff: int) -> np.ndarray:
-    """Unnormalized log amplitudes: -|a|^2/2 + n log(a) - log(n!)/2."""
+def _log_coherent_amps(alpha, cutoff: int) -> np.ndarray:
+    """log <n|alpha> = -|a|^2/2 + n log(a) - log(n!)/2 for n = 0..cutoff.
+
+    alpha may be an array; the result has shape alpha.shape + (cutoff+1,).
+    Where alpha == 0 the n > 0 entries have real part -inf, so their
+    exponentials are exactly 0.
+    """
+    alpha = np.asarray(alpha, dtype=complex)[..., None]
     n = np.arange(cutoff + 1)
-    out = np.full(cutoff + 1, -np.inf, dtype=complex)
-    out[0] = -abs(alpha) ** 2 / 2.0
-    if alpha != 0:
-        out[1:] = (
-            -abs(alpha) ** 2 / 2.0
-            + n[1:] * np.log(complex(alpha))
-            - 0.5 * gammaln(n[1:] + 1)
-        )
+    log_vacuum = -np.abs(alpha) ** 2 / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = log_vacuum + n * np.log(alpha) - 0.5 * gammaln(n + 1)
+    out[..., :1] = log_vacuum  # 0 * log(0) is nan; <0|alpha> needs no log
     return out
 
 
@@ -158,9 +160,7 @@ def coherent_state(alpha: complex, cutoff: int) -> FockVector:
             f"cutoff too small: leakage {leak:.3e} exceeds {LEAKAGE_LIMIT:.1e} "
             f"for alpha={alpha} at cutoff {cutoff}"
         )
-    logs = _log_coherent_amps(alpha, cutoff)
-    amps = np.where(np.isneginf(logs.real), 0.0, np.exp(logs))
-    amps = amps / math.sqrt(1.0 - leak)
+    amps = np.exp(_log_coherent_amps(alpha, cutoff)) / math.sqrt(1.0 - leak)
     return FockVector(amps, cutoff)
 
 

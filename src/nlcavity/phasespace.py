@@ -8,12 +8,10 @@ renormalizes the state and includes the 1/pi so the grid integrates to one.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln
 
 from .fock import FockVector, _log_coherent_amps, default_cutoff, fidelity, poisson_weights
 
@@ -51,26 +49,9 @@ class QGrid:
 
 
 def coherent_overlap(beta, state: FockVector) -> np.ndarray:
-    """<beta|psi> for an array of beta values, assembled in log-space.
-
-    <beta|n> = e^{-|beta|^2/2} conj(beta)^n / sqrt(n!).
-    """
+    """<beta|psi> for an array of beta values; <beta|n> = <n|conj(beta)>."""
     beta = np.atleast_1d(np.asarray(beta, dtype=complex))
-    n = np.arange(state.cutoff + 1)
-    out = np.zeros(beta.shape, dtype=complex)
-    zero = beta == 0
-    if np.any(zero):
-        out[zero] = state.amps[0]
-    nz = ~zero
-    if np.any(nz):
-        logb = np.log(np.conj(beta[nz]))
-        expo = (
-            np.outer(logb, n)
-            - 0.5 * gammaln(n + 1)[None, :]
-            - (np.abs(beta[nz]) ** 2 / 2.0)[:, None]
-        )
-        out[nz] = np.exp(expo) @ state.amps
-    return out
+    return np.exp(_log_coherent_amps(np.conj(beta), state.cutoff)) @ state.amps
 
 
 def q_function(
@@ -87,16 +68,6 @@ def q_function(
         raise ValueError(f"unknown convention {convention!r}")
     x = np.linspace(x_range[0], x_range[1], resolution)
     p = np.linspace(p_range[0], p_range[1], resolution)
-    max_beta_sq = max(
-        xi * xi + pi * pi for xi in (x[0], x[-1]) for pi in (p[0], p[-1])
-    )
-    if max_beta_sq > state_raw.cutoff / 2.0:
-        warnings.warn(
-            f"grid reaches |beta|^2 = {max_beta_sq:.1f} > cutoff/2 = "
-            f"{state_raw.cutoff / 2:.1f}; far-field Q values reflect the "
-            "truncated state only",
-            stacklevel=2,
-        )
     amps = state_raw.amps
     if convention == "normalized":
         amps = amps / np.linalg.norm(amps)
@@ -160,9 +131,8 @@ def circle_q_values(state: FockVector, radius: float, phis: np.ndarray) -> np.nd
 
 def cat_vector(gamma: complex, xi: float, cutoff: int) -> FockVector:
     """Normalized (|gamma> + e^{i xi} |-gamma>) on the truncated space."""
-    amps = np.exp(_log_coherent_amps(gamma, cutoff)) + np.exp(1j * xi) * np.exp(
-        _log_coherent_amps(-gamma, cutoff)
-    )
+    plus, minus = np.exp(_log_coherent_amps([gamma, -gamma], cutoff))
+    amps = plus + np.exp(1j * xi) * minus
     return FockVector(amps / np.linalg.norm(amps), cutoff)
 
 

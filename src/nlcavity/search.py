@@ -2,10 +2,10 @@
 qudit sign-shift angle.
 
 The single-atom solutions want cos(tau) ~ +1 and cos(sqrt(2) tau) ~ -1
-simultaneously, i.e. sqrt(2) ~ odd/even as a rational. Continued-fraction
-convergents of sqrt(2) with odd numerator and even denominator (3/2, 17/12,
-99/70, ...) therefore seed the search directly; a bounded 1D polish finishes
-the job. The two-atom search is a coarse grid plus Nelder-Mead polish.
+simultaneously, i.e. sqrt(2) ~ odd/even as a rational. Each continued-fraction
+convergent of sqrt(2) with odd numerator and even denominator (3/2, 17/12,
+99/70, ...) gives one time in closed form, where the two errors are equal.
+The two-atom search is a coarse grid plus Nelder-Mead polish.
 
 The qudit sign-shift angle needs no optimizer: an exact sieve over the arcs
 where each level meets the tolerance gives the lowest feasible interval
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from . import atomfield
 
@@ -105,28 +105,18 @@ def ns_merit(tau: float) -> float:
 def ns_tau_candidates(max_tau: float):
     """Single-atom interaction times realizing the nonlinear sign map.
 
-    Seeds tau = pi * q at every convergent p/q of sqrt(2) with odd p and
-    even q (there cos(tau) ~ +1 and cos(sqrt(2) tau) ~ -1), then refines
-    each seed with a bounded scalar minimization of the merit. Solutions
-    with tau <= max_tau are returned sorted by merit.
+    At every convergent p/q of sqrt(2) with odd p and even q, cos(tau) ~ +1
+    near pi q and cos(sqrt(2) tau) ~ -1 near pi p / sqrt(2). Between the two
+    lies tau = pi (p + q) / (1 + sqrt(2)), where cos(tau) + cos(sqrt(2) tau)
+    = 0, so |1 - A1| = |1 + A2|: the exact minimum of the Chebyshev merit.
+    Solutions with tau <= max_tau are returned sorted by merit.
     """
     sols = []
     for p, q in sqrt2_convergents(int(max_tau / math.pi) + 2):
         if p % 2 == 0 or q % 2 == 1:
             continue
-        seed = math.pi * q
-        if seed > max_tau + 1.5:
-            continue
-        res = minimize_scalar(
-            ns_merit,
-            bounds=(seed - 1.5, seed + 1.5),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        tau = float(res.x)
-        if ns_merit(tau) > ns_merit(seed):  # refinement must never lose
-            tau = seed
-        if tau <= 0 or tau > max_tau:
+        tau = math.pi * (p + q) / (1.0 + math.sqrt(2.0))
+        if tau > max_tau:
             continue
         sols.append(
             TauSolution(

@@ -12,7 +12,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from nlcavity import (
     FockOperator,
@@ -100,7 +99,6 @@ def test_criterion_04_conditional_operator_oracle():
     report(4, worst <= 1e-9, f"measured blocks vs cos(tau sqrt(n)) oracle, max dev {worst:.2e}")
 
 
-@pytest.mark.filterwarnings("ignore:grid reaches")
 def test_criterion_05_cat_lobes():
     cutoff = 220
     base = coherent_state(10.0, cutoff)

@@ -79,7 +79,6 @@ class TestNsSearch:
         assert (a / "table1.csv").read_bytes() == (b / "table1.csv").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:grid reaches")
 class TestQfunc:
     def test_outputs_and_lobes(self, tmp_path):
         rc = main(
@@ -284,7 +283,6 @@ class TestConfigFile:
         rc = main(["--config", str(cfg), "qudit-theta", "--n-max", "2"])
         assert rc == EXIT_INVALID_CONFIG
 
-    @pytest.mark.filterwarnings("ignore:grid reaches")
     def test_config_converts_like_flags(self, tmp_path):
         # The same values as the golden qfunc_normalized case, from a config.
         cfg = tmp_path / "run.cfg"

@@ -90,7 +90,6 @@ def load_golden(case):
     return files, stdout, code
 
 
-@pytest.mark.filterwarnings("ignore:grid reaches")
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden(case, tmp_path):
     files, stdout, code = run_case(CASES[case], tmp_path)

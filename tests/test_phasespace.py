@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlcavity import (
     FockVector,
@@ -14,7 +16,7 @@ from nlcavity import (
     gaussian_amplitude,
     q_function,
 )
-from nlcavity.phasespace import circle_q_values, poisson_weights
+from nlcavity.phasespace import circle_q_values, coherent_overlap, poisson_weights
 
 
 def conditional_state(alpha, theta, cutoff=None, raw=True):
@@ -26,7 +28,6 @@ def conditional_state(alpha, theta, cutoff=None, raw=True):
     return vec if raw else vec.normalized()
 
 
-@pytest.mark.filterwarnings("ignore:grid reaches")
 class TestQFunction:
     def test_vacuum_at_origin(self):
         grid = q_function(fock_state(0, 10), (-1, 1), (-1, 1), 3)
@@ -69,10 +70,6 @@ class TestQFunction:
         g2 = q_function(rotated, (-6, 6), (-6, 6), 41)
         assert np.max(np.abs(g1.values - g2.values)) < 1e-14
 
-    def test_leakage_warning(self):
-        with pytest.warns(UserWarning, match="cutoff"):
-            q_function(fock_state(0, 10), (-10, 10), (-10, 10), 11)
-
     def test_agrees_with_circle_amplitude(self):
         # single-branch conditional state, checked on the circle |beta|=|alpha|
         alpha, theta, cutoff = 3.0, 4.0, default_cutoff(3.0)
@@ -87,6 +84,24 @@ class TestQFunction:
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):
             q_function(fock_state(0, 5), (-1, 1), (-1, 1), 1)
+
+
+# Points of the disc |z| <= 6, with the origin drawn on its own.
+DISC = st.one_of(
+    st.just(0j),
+    st.complex_numbers(max_magnitude=6.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(alpha=DISC, beta=DISC)
+def test_coherent_overlap_closed_form(alpha, beta):
+    # |<beta|alpha>|^2 = e^{-|beta - alpha|^2}, on a 2-D beta array.
+    state = coherent_state(alpha, default_cutoff(6.0))
+    betas = np.array([[beta, 0.0], [-beta, alpha]])
+    q = np.abs(coherent_overlap(betas, state)) ** 2
+    assert q.shape == betas.shape
+    assert np.max(np.abs(q - np.exp(-np.abs(betas - alpha) ** 2))) < 1e-12
 
 
 class TestCircleAmplitude:

@@ -64,6 +64,15 @@ class TestNsTauCandidates:
         assert len(merits) >= 3
         assert all(a > b for a, b in zip(merits, merits[1:]))
 
+    def test_errors_balanced_at_every_time(self):
+        # The merit's minimum is where |1 - A1| and |1 + A2| are equal.
+        sols = ns_tau_candidates(5000.0)
+        assert len(sols) == 4
+        for s in sols:
+            tau = s.taus[0]
+            gap = abs(1.0 - math.cos(tau)) - abs(1.0 + math.cos(SQRT2 * tau))
+            assert abs(gap) < 1e-12
+
     def test_refinement_never_worse_than_seed(self):
         for s in ns_tau_candidates(250.0):
             q = round(s.taus[0] / math.pi)
