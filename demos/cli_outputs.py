@@ -15,9 +15,18 @@ import tempfile
 from pathlib import Path
 
 out = Path(tempfile.mkdtemp(prefix="nlcavity_demo_"))
-run = lambda *args: subprocess.run(
-    [sys.executable, "-m", "nlcavity.cli", *args], capture_output=True, text=True
-)
+
+
+def run(*args):
+    """Run one CLI command; fail on a nonzero exit or anything on stderr."""
+    r = subprocess.run(
+        [sys.executable, "-m", "nlcavity.cli", *args],
+        capture_output=True, text=True, check=True,
+    )
+    if r.stderr:
+        raise RuntimeError(f"nlcavity {' '.join(args)} wrote to stderr:\n{r.stderr}")
+    return r
+
 
 print(f"writing outputs under {out}\n")
 
@@ -36,9 +45,9 @@ print(f"  lobe angles: {lobes['lobe_angles']}")
 print(f"  gnuplot script: {out / 'qgrid.gp'}")
 
 print()
-r = run("params", "--g", "2pi*4.5MHz", "--omega", "2pi*30MHz", "--delta", "2pi*6MHz",
+r = run("params", "--g", "2pi*4.5MHz", "--omega", "2pi*30MHz", "--delta", "2pi*40MHz",
         "--tau", "6.5064")
-print("$ nlcavity params --g 2pi*4.5MHz --omega 2pi*30MHz --delta 2pi*6MHz --tau 6.5064")
+print("$ nlcavity params --g 2pi*4.5MHz --omega 2pi*30MHz --delta 2pi*40MHz --tau 6.5064")
 print("  " + r.stdout.strip().replace("\n", "\n  "))
 
 print()

@@ -34,7 +34,7 @@ for sol in ns_tau_candidates(250.0):
 
 # Translate the dimensionless times into seconds for a concrete Raman setup.
 twopi = 2.0 * math.pi
-params = RamanParams(g=twopi * 4.5e6, omega=twopi * 30e6, delta=twopi * 6e6)
+params = RamanParams(g=twopi * 4.5e6, omega=twopi * 30e6, delta=twopi * 40e6)
 kap = kappa(params)
 print()
 print(f"effective coupling kappa = 2pi x {kap / twopi / 1e6:.2f} MHz")

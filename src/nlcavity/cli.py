@@ -423,9 +423,6 @@ def main(argv=None) -> int:
     except (CutoffTooSmallError, TruncationGuardError) as exc:
         print(f"numerical guard abort: {exc}", file=sys.stderr)
         return EXIT_GUARD_ABORT
-    except search.NoThetaFoundError as exc:
-        print(f"no solution: {exc}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG

@@ -30,7 +30,7 @@ class RamanParams:
             warnings.warn(
                 "detuning below the Raman Rabi frequency; the dispersive "
                 "effective-coupling formula is outside its validity regime",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

@@ -157,9 +157,9 @@ def _best_cat_fit(state: FockVector, gamma0: complex):
         method="Nelder-Mead",
         options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000},
     )
-    if -res.fun >= best[1]:
-        return complex(res.x[0], res.x[1]), float(res.x[2] % (2 * math.pi)), float(-res.fun)
-    return gamma0, best[0][2], best[1]
+    # Nelder-Mead keeps x0 as a vertex and returns its best vertex, so the
+    # fit is never worse than the scan.
+    return complex(res.x[0], res.x[1]), float(res.x[2] % (2 * math.pi)), float(-res.fun)
 
 
 def cat_diagnostics(state: FockVector, alpha: complex):

@@ -202,10 +202,10 @@ def two_atom_search(
             options={"xatol": 1e-11, "fatol": 1e-14, "maxiter": 4000},
         )
         taus = [float(res.x[0]), float(res.x[1])]
-        if _two_atom_polish_objective(taus) > _two_atom_polish_objective(seed):
-            taus = list(seed)
-        # target_merit < 1, so this also rejects every penalized point.
-        if _two_atom_polish_objective(taus) > target_merit:
+        # Nelder-Mead returns its best vertex and the seed is one, so the
+        # polish never ends above the seed. target_merit < 1, so this also
+        # rejects every penalized point.
+        if res.fun > target_merit:
             continue
         # Polishing is unconstrained; keep only optima inside the window.
         if not (tau1_range[0] <= taus[0] <= tau1_range[1]):

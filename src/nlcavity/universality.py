@@ -12,6 +12,10 @@ Note the x^3/(16|a|^2) piece: it enters at the same order as the symmetrized
 cross term (from the cube of the binomial variable) and must be kept for the
 remainder to actually be third order. Both second-order-in-1/alpha terms are
 cubic in the canonical variables.
+
+Diagonal operators (sqrt(n), e^{i theta sqrt(n)}, n and the identity) are
+kept as vectors and applied by broadcasting, so the only dense products are
+the conjugation by D(alpha) and the powers of x.
 """
 
 import math
@@ -19,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    FockOperator,
-    displacement,
-    expm_antihermitian,
-    number_op,
-    quadrature,
-    sqrt_number_phase,
-)
+from .fock import FockOperator, displacement, expm_antihermitian, quadrature
 
 
 class TruncationGuardError(ValueError):
@@ -56,12 +53,16 @@ def _check_guard(alpha, cutoff):
         )
 
 
+def _conjugated(d: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """d^dag diag(diagonal) d, the diagonal applied by broadcasting."""
+    return (d.conj().T * diagonal) @ d
+
+
 def displaced_generator(alpha: complex, cutoff: int) -> FockOperator:
     """G_exact = D^dag(alpha) sqrt(n) D(alpha)."""
     _check_guard(alpha, cutoff)
     d = displacement(alpha, cutoff).matrix
-    sqrt_n = np.diag(np.sqrt(np.arange(cutoff + 1, dtype=float))).astype(complex)
-    return FockOperator(d.conj().T @ sqrt_n @ d, cutoff)
+    return FockOperator(_conjugated(d, np.sqrt(np.arange(cutoff + 1))), cutoff)
 
 
 def series_generator(
@@ -76,28 +77,21 @@ def series_generator(
     if r <= 0:
         raise ValueError("alpha must be nonzero")
     x = quadrature(phi, cutoff).matrix
-    nm = number_op(cutoff).matrix
-    g = (
-        r * np.eye(cutoff + 1, dtype=complex)
-        + x / 2.0
-        + nm / (2.0 * r)
-        - x @ x / (8.0 * r)
-    )
+    xx = x @ x
+    n = np.arange(cutoff + 1)
+    g = x / 2.0 - xx / (8.0 * r)
+    g[n, n] += r + n / (2.0 * r)
     if include_cubic:
-        g = g - (nm @ x + x @ nm) / (8.0 * r * r) + x @ x @ x / (16.0 * r * r)
+        g = g - (n[:, None] + n) * x / (8.0 * r * r) + xx @ x / (16.0 * r * r)
     return FockOperator(g, cutoff)
 
 
 def generator_residual(
-    alpha: complex,
-    subspace_dim: int = 3,
-    cutoff: int = None,
-    include_cubic: bool = True,
+    alpha: complex, subspace_dim: int = 3, include_cubic: bool = True
 ) -> GeneratorComparison:
     """Max-norm of the projected difference between exact and series
-    generators on photon numbers n <= subspace_dim."""
-    if cutoff is None:
-        cutoff = required_cutoff(alpha)
+    generators on photon numbers n <= subspace_dim, at required_cutoff(alpha)."""
+    cutoff = required_cutoff(alpha)
     phi = math.atan2(complex(alpha).imag, complex(alpha).real)
     g_exact = displaced_generator(alpha, cutoff).matrix
     g_series = series_generator(alpha, phi, cutoff, include_cubic).matrix
@@ -135,10 +129,12 @@ def unitary_consistency(
     """Max-norm disagreement, on n <= subspace_dim, between exponentiating
     the conjugated generator and conjugating the exponentiated one. An exact
     identity; the returned value measures truncation error only."""
-    g = displaced_generator(alpha, cutoff)
-    u1 = expm_antihermitian(FockOperator(1j * theta * g.matrix, cutoff)).matrix
+    _check_guard(alpha, cutoff)
     d = displacement(alpha, cutoff).matrix
-    u2 = d.conj().T @ sqrt_number_phase(theta, cutoff).matrix @ d
+    sqrt_n = np.sqrt(np.arange(cutoff + 1))
+    g = _conjugated(d, sqrt_n)
+    u1 = expm_antihermitian(FockOperator(1j * theta * g, cutoff)).matrix
+    u2 = _conjugated(d, np.exp(1j * theta * sqrt_n))
     k = subspace_dim + 1
     return float(np.max(np.abs((u1 - u2)[:k, :k])))
 

@@ -29,6 +29,11 @@ class TestKappa:
         p2 = RamanParams(g=1e6, omega=2e6, delta=16e6)
         assert abs(kappa(p1) - 2 * kappa(p2)) < 1e-12
 
+    def test_regime_warning_names_the_caller(self):
+        with pytest.warns(UserWarning) as record:
+            RamanParams(g=1.0, omega=2.0, delta=1.0)
+        assert record[0].filename == __file__
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             RamanParams(g=1.0, omega=1.0, delta=0.0)

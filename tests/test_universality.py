@@ -6,12 +6,14 @@ import pytest
 from nlcavity import (
     FockOperator,
     displaced_generator,
+    displacement,
     expm_antihermitian,
     generator_residual,
     number_op,
     quadrature,
     residual_scaling,
     series_generator,
+    sqrt_number_phase,
     unitary_consistency,
 )
 from nlcavity.phasespace import poisson_weights
@@ -46,6 +48,14 @@ class TestDisplacedGenerator:
         with pytest.raises(TruncationGuardError):
             displaced_generator(8.0, 50)
 
+    @pytest.mark.parametrize("alpha", [4.0, 3.0 + 2.0j])
+    def test_equals_dense_conjugation(self, alpha):
+        cutoff = required_cutoff(alpha)
+        d = displacement(alpha, cutoff).matrix
+        sqrt_n = np.diag(np.sqrt(np.arange(cutoff + 1))).astype(complex)
+        g = displaced_generator(alpha, cutoff).matrix
+        assert np.array_equal(g, d.conj().T @ sqrt_n @ d)
+
 
 class TestSeriesGenerator:
     def test_vacuum_constant_term(self):
@@ -61,14 +71,20 @@ class TestSeriesGenerator:
         assert abs(x[0, 1] - 1.0) < 1e-14
 
     def test_cubic_correction_terms(self):
-        # full minus quadratic-only = -(n x + x n)/(8 a^2) + x^3/(16 a^2)
+        # quadratic-only = |a| + x/2 + n/(2a) - x^2/(8a); full minus
+        # quadratic-only = -(n x + x n)/(8 a^2) + x^3/(16 a^2)
         alpha, cutoff = 5.0, 30
-        full = series_generator(alpha, 0.0, cutoff, include_cubic=True).matrix
-        quad = series_generator(alpha, 0.0, cutoff, include_cubic=False).matrix
-        x = quadrature(0.0, cutoff).matrix
         nm = number_op(cutoff).matrix
-        expected = -(nm @ x + x @ nm) / (8 * alpha**2) + x @ x @ x / (16 * alpha**2)
-        assert np.max(np.abs((full - quad) - expected)) < 1e-13
+        for phi in (0.0, 0.7):
+            full = series_generator(alpha, phi, cutoff, include_cubic=True).matrix
+            quad = series_generator(alpha, phi, cutoff, include_cubic=False).matrix
+            x = quadrature(phi, cutoff).matrix
+            quad_expected = (
+                alpha * np.eye(cutoff + 1) + x / 2 + nm / (2 * alpha) - x @ x / (8 * alpha)
+            )
+            expected = -(nm @ x + x @ nm) / (8 * alpha**2) + x @ x @ x / (16 * alpha**2)
+            assert np.max(np.abs(quad - quad_expected)) < 1e-13
+            assert np.max(np.abs((full - quad) - expected)) < 1e-13
 
     def test_hermitian(self):
         g = series_generator(4.0, 0.7, 50).matrix
@@ -113,6 +129,19 @@ class TestUnitaryConsistency:
 
     def test_large_displacement(self):
         assert unitary_consistency(8.0, math.pi, 250) <= 1e-6
+
+    def test_matches_dense_phase_operator(self):
+        alpha, theta, cutoff, k = 4.0, 1.0, 120, 21
+        d = displacement(alpha, cutoff).matrix
+        g = displaced_generator(alpha, cutoff).matrix
+        u1 = expm_antihermitian(FockOperator(1j * theta * g, cutoff)).matrix
+        u2 = d.conj().T @ sqrt_number_phase(theta, cutoff).matrix @ d
+        dense = float(np.max(np.abs((u1 - u2)[:k, :k])))
+        assert abs(unitary_consistency(alpha, theta, cutoff) - dense) < 1e-15
+
+    def test_guard(self):
+        with pytest.raises(TruncationGuardError):
+            unitary_consistency(8.0, 1.0, 50)
 
     def test_exponentiated_generator_is_unitary(self):
         g = displaced_generator(4.0, 120)
