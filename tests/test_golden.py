@@ -32,6 +32,7 @@ CASES = {
         "ns-search", "--two-atom", "--tau1-range", "35:40", "--tau2-range", "195:200",
         "--out", "{out}", "--format", "json",
     ],
+    "two_atom_default": ["ns-search", "--two-atom", "--out", "{out}", "--format", "json"],
     "two_atom_wide": [
         "ns-search", "--two-atom", "--tau1-range", "20:45", "--tau2-range", "100:200",
         "--out", "{out}", "--format", "json",
