@@ -5,7 +5,10 @@ The single-atom solutions want cos(tau) ~ +1 and cos(sqrt(2) tau) ~ -1
 simultaneously, i.e. sqrt(2) ~ odd/even as a rational. Each continued-fraction
 convergent of sqrt(2) with odd numerator and even denominator (3/2, 17/12,
 99/70, ...) gives one time in closed form, where the two errors are equal.
-The two-atom search is a coarse grid plus Nelder-Mead polish.
+The two-atom search is a coarse grid plus Nelder-Mead polish. Its seeds are
+the best grid points, found exactly (the same as a stable sort of the whole
+grid) in blocks of bounded size, skipping rows and columns whose lower bound
+on the distance shows they cannot rank.
 
 The qudit sign-shift angle needs no optimizer: an exact sieve over the arcs
 where each level meets the tolerance gives the lowest feasible interval
@@ -28,6 +31,16 @@ NS_TARGET = np.array([1.0, 1.0, -1.0])
 # success probability).
 MAX_SEEDS = 8
 MIN_MAGNITUDE = 0.5
+
+# Best grid points scanned, in order, for MAX_SEEDS seeds at least 1 apart in
+# both times. Near-ideal points cluster (the 35:40 x 195:200 window needs 2679
+# of them for 8 seeds); the cap bounds the ranking when a window has fewer
+# distinct basins.
+SEED_CANDIDATES = 4000
+
+# Grid points per block of rows in the two-atom ranking, so its memory stays
+# fixed whatever the window (a single row can exceed it).
+GRID_BLOCK_POINTS = 2**18
 
 # Halvings of the tolerance when the qudit angle search reports its best
 # angle on exhaustion.
@@ -150,6 +163,52 @@ def _two_atom_polish_objective(taus) -> float:
     return float(mags.max() - mags.min()) + penalty
 
 
+def _seed_candidates(c1, c2) -> np.ndarray:
+    """Flat (row-major) indices of the SEED_CANDIDATES points of the grid
+    B = c1[:, i] * c2[:, j] nearest +-NS_TARGET in Chebyshev distance, for
+    factors c1 (3, n1) and c2 (3, n2); ordered by distance and then by index,
+    exactly the head of a stable argsort of the whole distance grid.
+
+    The grid is walked in blocks of rows of about GRID_BLOCK_POINTS points,
+    and a running top set is merged with each block's own top set. Every
+    target entry has modulus 1 and every factor modulus <= 1, so a point's
+    distance is at least max_k (1 - |c1_k|) over its row and max_k
+    (1 - |c2_k|) over its column; rounding is monotone, so this holds for the
+    computed values too. Once the top set is full, only rows and columns
+    whose bound does not exceed its last distance are evaluated.
+    """
+    n1, n2 = c1.shape[1], c2.shape[1]
+    row_bound = np.max(1.0 - np.abs(c1), axis=0)
+    col_bound = np.max(1.0 - np.abs(c2), axis=0)
+    cols = np.arange(n2)
+    block = max(1, GRID_BLOCK_POINTS // n2)
+    top_dist = np.empty(0)
+    top_flat = np.empty(0, dtype=np.int64)
+    for start in range(0, n1, block):
+        rows = np.arange(start, min(start + block, n1))
+        if top_dist.size == SEED_CANDIDATES:
+            rows = rows[row_bound[rows] <= top_dist[-1]]
+            cols = cols[col_bound[cols] <= top_dist[-1]]
+            if not (rows.size and cols.size):
+                continue
+        d_plus = np.zeros((rows.size, cols.size))
+        d_minus = np.zeros((rows.size, cols.size))
+        for k in range(3):
+            bk = np.multiply.outer(c1[k, rows], c2[k, cols])
+            np.maximum(d_plus, np.abs(bk - NS_TARGET[k]), out=d_plus)
+            np.maximum(d_minus, np.abs(bk + NS_TARGET[k]), out=d_minus)
+        dist = np.minimum(d_plus, d_minus).ravel()
+        flat = np.add.outer(rows * n2, cols).ravel()
+        if dist.size > SEED_CANDIDATES:
+            keep = dist <= np.partition(dist, SEED_CANDIDATES - 1)[SEED_CANDIDATES - 1]
+            dist, flat = dist[keep], flat[keep]
+        top_dist = np.concatenate((top_dist, dist))
+        top_flat = np.concatenate((top_flat, flat))
+        order = np.lexsort((top_flat, top_dist))[:SEED_CANDIDATES]
+        top_dist, top_flat = top_dist[order], top_flat[order]
+    return top_flat
+
+
 def two_atom_search(
     tau1_range=(1.0, 60.0),
     tau2_range=(1.0, 250.0),
@@ -159,14 +218,25 @@ def two_atom_search(
     """Find (tau1, tau2) whose combined amplitudes have equal magnitudes and
     the nonlinear-sign pattern up to a global sign.
 
-    A vectorized coarse grid ranks points by Chebyshev distance to the ideal
-    +-(1, 1, -1); the best well-separated grid points are polished with
-    Nelder-Mead on the equal-magnitude spread. Solutions with spread <=
+    A coarse grid with spacing `step` ranks points by Chebyshev distance to
+    the ideal +-(1, 1, -1); the best well-separated grid points are polished
+    with Nelder-Mead on the equal-magnitude spread. Solutions with spread <=
     target_merit and every |B_n| >= MIN_MAGNITUDE are returned sorted by
     merit, the Chebyshev distance to the signed target.
+
+    The ranking is exact, the same as a stable sort of the whole grid, but
+    never holds the whole grid: it runs in blocks of GRID_BLOCK_POINTS points
+    and skips every row and column whose lower bound on the distance exceeds
+    the SEED_CANDIDATES-th best found so far (see _seed_candidates).
+
+    Raises ValueError unless both ranges are finite with 0 < lo <= hi and
+    step is finite and positive.
     """
-    if tau1_range[0] <= 0 or tau2_range[0] <= 0:
-        raise ValueError("tau ranges must be positive")
+    for lo, hi in (tau1_range, tau2_range):
+        if not 0.0 < lo <= hi < math.inf:
+            raise ValueError(f"tau range {lo}:{hi} must be finite with 0 < lo <= hi")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step}")
     if not 0.0 < target_merit < 1.0:
         raise ValueError("target_merit must be in (0, 1)")
     t1 = np.arange(tau1_range[0], tau1_range[1] + step / 2.0, step)
@@ -174,18 +244,9 @@ def two_atom_search(
     c1 = atomfield.upsilon_factors(t1, 2, atomfield.GROUND).T  # (3, n1)
     c2 = atomfield.upsilon_factors(t2, 2, atomfield.EXCITED).T  # (3, n2)
 
-    d_plus = np.zeros((t1.size, t2.size))
-    d_minus = np.zeros((t1.size, t2.size))
-    for k in range(3):
-        bk = np.multiply.outer(c1[k], c2[k])
-        np.maximum(d_plus, np.abs(bk - NS_TARGET[k]), out=d_plus)
-        np.maximum(d_minus, np.abs(bk + NS_TARGET[k]), out=d_minus)
-    dist = np.minimum(d_plus, d_minus)
-
-    order = np.argsort(dist, axis=None, kind="stable")
     seeds = []
-    for flat in order[:4000]:
-        i, j = np.unravel_index(flat, dist.shape)
+    for flat in _seed_candidates(c1, c2):
+        i, j = divmod(int(flat), t2.size)
         cand = (float(t1[i]), float(t2[j]))
         if any(abs(cand[0] - s[0]) < 1.0 and abs(cand[1] - s[1]) < 1.0 for s in seeds):
             continue

@@ -72,6 +72,15 @@ class TestNsSearch:
         )
         validate(tmp_path / "two_atom.json", "two_atom")
 
+    @pytest.mark.parametrize(
+        "window",
+        [["--step", "0"], ["--step", "-0.05"], ["--tau1-range", "40:35"]],
+    )
+    def test_two_atom_bad_window_is_invalid(self, tmp_path, capsys, window):
+        rc = main(["ns-search", "--two-atom", *window, "--out", str(tmp_path)])
+        assert rc == EXIT_INVALID_CONFIG
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlcavity import (
+    atomfield,
     ns_tau_candidates,
     pattern_error,
     qudit_theta_search,
+    search,
     sign_pattern,
     two_atom_amplitudes,
     two_atom_search,
@@ -115,6 +119,112 @@ class TestTwoAtomSearch:
             two_atom_search((-1.0, 2.0), (1.0, 5.0))
         with pytest.raises(ValueError):
             two_atom_search((1.0, 2.0), (1.0, 5.0), target_merit=2.0)
+        with pytest.raises(ValueError):
+            two_atom_search((40.0, 35.0), (1.0, 5.0))
+        with pytest.raises(ValueError):
+            two_atom_search((1.0, 2.0), (5.0, 1.0))
+        with pytest.raises(ValueError):
+            two_atom_search((1.0, math.inf), (1.0, 5.0))
+        with pytest.raises(ValueError):
+            two_atom_search((1.0, 2.0), (math.nan, 5.0))
+        for step in (0.0, -0.05, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                two_atom_search((1.0, 2.0), (1.0, 5.0), step=step)
+
+    def test_default_search_memory_is_bounded(self):
+        # The dense ranking of the 5.9 M-point default grid peaked at 235 MB.
+        tracemalloc.start()
+        try:
+            two_atom_search()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+def _factors(tau1_range, tau2_range, step):
+    """Grid factors (3, n1) and (3, n2) exactly as two_atom_search builds them."""
+    t1 = np.arange(tau1_range[0], tau1_range[1] + step / 2.0, step)
+    t2 = np.arange(tau2_range[0], tau2_range[1] + step / 2.0, step)
+    c1 = atomfield.upsilon_factors(t1, 2, atomfield.GROUND).T
+    c2 = atomfield.upsilon_factors(t2, 2, atomfield.EXCITED).T
+    return c1, c2
+
+
+def _dense_ranking(c1, c2):
+    """Reference: the whole distance grid, ranked by one stable argsort."""
+    d_plus = np.zeros((c1.shape[1], c2.shape[1]))
+    d_minus = np.zeros((c1.shape[1], c2.shape[1]))
+    for k in range(3):
+        bk = np.multiply.outer(c1[k], c2[k])
+        np.maximum(d_plus, np.abs(bk - search.NS_TARGET[k]), out=d_plus)
+        np.maximum(d_minus, np.abs(bk + search.NS_TARGET[k]), out=d_minus)
+    dist = np.minimum(d_plus, d_minus)
+    return np.argsort(dist, axis=None, kind="stable")[: search.SEED_CANDIDATES], dist
+
+
+class TestSeedCandidates:
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ((1.0, 60.0), (1.0, 250.0)),  # the CLI default, 5.9 M points
+            ((1.0, 60.0), (100.0, 250.0)),  # 1181 rows, 87 per block
+            ((35.0, 40.0), (195.0, 200.0)),  # 10201 points in one block
+            ((1.0, 2.0), (1.0, 2.0)),  # 441 points, fewer than SEED_CANDIDATES
+        ],
+    )
+    def test_matches_dense_ranking(self, window):
+        c1, c2 = _factors(*window, 0.05)
+        if window == ((1.0, 60.0), (100.0, 250.0)):
+            assert c1.shape[1] % (search.GRID_BLOCK_POINTS // c2.shape[1]) != 0
+        want, _ = _dense_ranking(c1, c2)
+        assert want.size == min(search.SEED_CANDIDATES, c1.shape[1] * c2.shape[1])
+        assert np.array_equal(search._seed_candidates(c1, c2), want)
+
+    @pytest.mark.parametrize("block", [1, 4999, search.GRID_BLOCK_POINTS])
+    def test_exact_ties_keep_index_order(self, block):
+        # Factors from a five-value set: every distance is shared by many points.
+        rng = np.random.default_rng(9)
+        values = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        c1 = rng.choice(values, size=(3, 300))
+        c2 = rng.choice(values, size=(3, 1500))
+        want, dist = _dense_ranking(c1, c2)
+        last = dist.ravel()[want[-1]]
+        assert np.count_nonzero(dist == last) > np.count_nonzero(dist.ravel()[want] == last)
+        with mock.patch.object(search, "GRID_BLOCK_POINTS", block):
+            assert np.array_equal(search._seed_candidates(c1, c2), want)
+
+    @pytest.mark.parametrize("block", [1, 499, search.GRID_BLOCK_POINTS])
+    def test_distance_equal_to_row_bound(self, block):
+        # c1 >= 0 and column 0 of c2 is the target itself, so point (i, 0) lies
+        # exactly at the bound max_k (1 - |c1_k|) of row i: pruning has no slack.
+        # Rows come in increasing bound, so the threshold settles early and the
+        # rows just below it are reached late.
+        rng = np.random.default_rng(10)
+        c1 = rng.uniform(0.0, 1.0, size=(3, 5000))
+        c1 = c1[:, np.argsort(np.max(1.0 - c1, axis=0))]
+        c2 = rng.uniform(-1.0, 1.0, size=(3, 50))
+        c2[:, 0] = search.NS_TARGET
+        want, dist = _dense_ranking(c1, c2)
+        assert np.array_equal(dist[:, 0], np.max(1.0 - c1, axis=0))
+        with mock.patch.object(search, "GRID_BLOCK_POINTS", block):
+            assert np.array_equal(search._seed_candidates(c1, c2), want)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    lo1=st.floats(0.1, 300.0),
+    rows=st.integers(0, 400),
+    lo2=st.floats(0.1, 300.0),
+    cols=st.integers(0, 400),
+    step=st.floats(0.02, 0.3),
+    block=st.integers(1, 2**15),
+)
+def test_seed_candidates_match_dense_ranking(lo1, rows, lo2, cols, step, block):
+    c1, c2 = _factors((lo1, lo1 + rows * step), (lo2, lo2 + cols * step), step)
+    want, _ = _dense_ranking(c1, c2)
+    with mock.patch.object(search, "GRID_BLOCK_POINTS", block):
+        assert np.array_equal(search._seed_candidates(c1, c2), want)
 
 
 class TestSignPattern:
