@@ -64,6 +64,15 @@ def fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+class Formatted(list):
+    """Numbers already formatted by fmt, kept as those strings; write_json
+    writes each as the float it denotes, so each is formatted only once."""
+
+
+# write_json joins the floats of a Formatted list this many at a time.
+FLOAT_CHUNK = 4096
+
+
 def jround(x):
     """Round to the 12-significant-digit output contract."""
     return float(fmt(x))
@@ -73,14 +82,16 @@ def rounded(value):
     """A result record as JSON data under the 12-significant-digit contract.
 
     Floats (numpy floats included) are rounded, a complex becomes [re, im],
-    arrays and tuples become lists; ints, bools, strings and None pass.
-    Float comes first: a Q grid holds tens of thousands of them."""
+    arrays and tuples become lists; ints, bools, strings, None and Formatted
+    lists pass."""
     if isinstance(value, float):
         return jround(value)
     if isinstance(value, complex):
         return [jround(value.real), jround(value.imag)]
     if isinstance(value, dict):
         return {key: rounded(v) for key, v in value.items()}
+    if isinstance(value, Formatted):
+        return value
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, (list, tuple)):
@@ -140,24 +151,68 @@ def load_config(path):
     return values
 
 
-def write_csv(path, header, rows):
-    """Write the header, then rows of numbers, each cell formatted by fmt."""
+def write_csv(path, header, rows, formatted=False):
+    """Write the header, then rows of numbers, each cell formatted by fmt;
+    `formatted` rows hold fmt's strings already and are written as given."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([fmt(v) for v in row] for row in rows)
+        w.writerows(rows if formatted else ([fmt(v) for v in row] for row in rows))
+
+
+def _json_floats(texts, sep):
+    """A list of fmt strings, each respelled in place where json writes its
+    float differently, joined by sep."""
+    values = np.fromiter(map(float, texts), float, len(texts))
+    magnitude = np.abs(values)
+    # repr(float(text)) differs from text for integral values below 1e16
+    # ("3" is 3.0, "1e+12" is 1000000000000.0) and can differ for subnormal
+    # floats (checked from 1e-300 down), and json spells inf and nan its way.
+    respell = (
+        ((values == np.trunc(values)) & (magnitude < 1e16))
+        | (magnitude < 1e-300)
+        | ~np.isfinite(values)
+    )
+    for i in np.flatnonzero(respell):
+        texts[i] = json.dumps(float(texts[i]))
+    return sep.join(texts)
+
+
+def _json_chunks(data, indent="\n"):
+    """The text of json.dumps(data, indent=2, sort_keys=True), in pieces.
+
+    data is a rounded record. Its Formatted lists, which may sit in dicts but
+    not in lists, are joined FLOAT_CHUNK floats at a time; json writes the
+    rest, re-indented to its depth."""
+    inner = indent + "  "
+    if isinstance(data, Formatted) and data:
+        yield "[" + inner
+        for start in range(0, len(data), FLOAT_CHUNK):
+            yield ("," + inner if start else "") + _json_floats(
+                data[start : start + FLOAT_CHUNK], "," + inner
+            )
+        yield indent + "]"
+    elif isinstance(data, dict) and data:
+        for k, (key, value) in enumerate(sorted(data.items())):
+            yield ("," if k else "{") + inner + json.dumps(key) + ": "
+            yield from _json_chunks(value, inner)
+        yield indent + "}"
+    else:
+        yield json.dumps(data, indent=2, sort_keys=True).replace("\n", indent)
 
 
 def write_json(path, record):
+    """Write rounded(record) as json.dump(..., indent=2, sort_keys=True) does,
+    plus a final newline."""
     with open(path, "w") as fh:
-        json.dump(rounded(record), fh, indent=2, sort_keys=True)
+        fh.writelines(_json_chunks(rounded(record)))
         fh.write("\n")
 
 
 def print_result(result, as_json, text_lines):
     """Print a command's result record as JSON, or as the given text lines."""
     if as_json:
-        print(json.dumps(rounded(result), indent=2, sort_keys=True))
+        print("".join(_json_chunks(rounded(result))))
     else:
         for line in text_lines:
             print(line)
@@ -209,7 +264,7 @@ pause -1
 
 def _conditional(args):
     """The cutoff and the state after one conditional step on |alpha>."""
-    cutoff = args.cutoff or default_cutoff(args.alpha)
+    cutoff = default_cutoff(args.alpha) if args.cutoff is None else args.cutoff
     return cutoff, atomfield.apply_upsilon(coherent_state(args.alpha, cutoff), args.theta)
 
 
@@ -220,9 +275,11 @@ def cmd_qfunc(args):
     grid = phasespace.q_function(
         cond.raw, x_range=(x0, x1), p_range=(x0, x1), resolution=n, convention=args.convention
     )
-    x, p = (axis.tolist() for axis in grid.axes())
-    rows = ((xj, pi, q) for pi, row in zip(p, grid.values.tolist()) for xj, q in zip(x, row))
-    write_csv(args.out / "qgrid.csv", ["x", "p", "Q"], rows)
+    # Each axis value and each Q value is formatted once, for CSV and JSON.
+    x, p = ([fmt(v) for v in axis.tolist()] for axis in grid.axes())
+    values = Formatted(fmt(v) for v in grid.values.ravel().tolist())
+    rows = zip(x * n, (pi for pi in p for _ in x), values)
+    write_csv(args.out / "qgrid.csv", ["x", "p", "Q"], rows, formatted=True)
     write_json(
         args.out / "qgrid.json",
         {
@@ -233,7 +290,7 @@ def cmd_qfunc(args):
             "x_range": (x0, x1),
             "p_range": (x0, x1),
             "resolution": n,
-            "values_row_major": grid.values.ravel(),
+            "values_row_major": values,
         },
     )
     (args.out / "qgrid.gp").write_text(

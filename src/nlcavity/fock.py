@@ -2,8 +2,9 @@
 states, displacements and matrix exponentials.
 
 Everything is dense numpy; at desk scale (cutoff up to a few hundred) sparsity
-buys nothing. Coherent amplitudes and overlaps are always assembled in
-log-space so large photon numbers never touch an explicit factorial.
+buys nothing. Coherent amplitudes are assembled in log-space so large photon
+numbers never touch an explicit factorial; phasespace forms overlaps <beta|psi>
+by a rescaled recurrence instead.
 """
 
 import math

@@ -22,6 +22,11 @@ CONVENTIONS = ("paper-unnormalized", "normalized")
 ANGULAR_RESOLUTION = 0.005
 LOBE_THRESHOLD = 0.05
 
+# coherent_overlap: grid points summed together, and recurrence steps between
+# two rescalings of their running terms.
+OVERLAP_BLOCK = 2**14
+RESCALE_STEPS = 16
+
 
 @dataclass
 class QGrid:
@@ -49,9 +54,41 @@ class QGrid:
 
 
 def coherent_overlap(beta, state: FockVector) -> np.ndarray:
-    """<beta|psi> for an array of beta values; <beta|n> = <n|conj(beta)>."""
+    """<beta|psi> = e^{-|beta|^2/2} sum_n c_n t_n for an array of beta values,
+    with t_0 = 1 and t_n = t_{n-1} conj(beta) / sqrt(n).
+
+    The terms are summed as the recurrence makes them, OVERLAP_BLOCK points at
+    a time, so memory does not grow with the cutoff. Every RESCALE_STEPS steps,
+    and after the last, t and the running sum of each point are divided by the
+    power of two of max(|t|, |sum|) (by 1 where both are 0), an exact scaling
+    whose exponent the point keeps; e^{-|beta|^2/2} and that exponent are
+    applied once at the end. So neither overflows nor underflows for |beta| up
+    to about 1e19, far past the |beta|^2 ~ 1490 where e^{-|beta|^2/2} alone
+    underflows.
+    """
     beta = np.atleast_1d(np.asarray(beta, dtype=complex))
-    return np.exp(_log_coherent_amps(np.conj(beta), state.cutoff)) @ state.amps
+    flat = np.conj(beta).ravel()
+    out = np.empty_like(flat)
+    amps, cutoff = state.amps, state.cutoff
+    for start in range(0, flat.size, OVERLAP_BLOCK):
+        b = flat[start : start + OVERLAP_BLOCK]
+        term = np.ones_like(b)
+        total = np.full_like(b, amps[0])
+        scratch = np.empty_like(b)
+        exponent = np.zeros(b.shape, dtype=int)
+        for n in range(1, cutoff + 1):
+            term *= b
+            term *= 1.0 / math.sqrt(n)
+            total += np.multiply(term, amps[n], out=scratch)
+            if n % RESCALE_STEPS == 0 or n == cutoff:
+                _, e = np.frexp(np.maximum(np.abs(term), np.abs(total)))
+                scale = np.ldexp(1.0, -e)
+                term *= scale
+                total *= scale
+                exponent += e
+        log_factor = exponent * math.log(2.0) - 0.5 * (b.real**2 + b.imag**2)
+        out[start : start + OVERLAP_BLOCK] = total * np.exp(log_factor)
+    return out.reshape(beta.shape)
 
 
 def q_function(
@@ -71,11 +108,8 @@ def q_function(
     amps = state_raw.amps
     if convention == "normalized":
         amps = amps / np.linalg.norm(amps)
-    vec = FockVector(amps, state_raw.cutoff)
-    values = np.empty((resolution, resolution))
-    for i, pi in enumerate(p):  # chunk by grid row to bound memory
-        betas = x + 1j * pi
-        values[i] = np.abs(coherent_overlap(betas, vec)) ** 2
+    betas = x + 1j * p[:, None]
+    values = np.abs(coherent_overlap(betas, FockVector(amps, state_raw.cutoff))) ** 2
     if convention == "normalized":
         values /= math.pi
     return QGrid(tuple(x_range), tuple(p_range), resolution, values, convention)
@@ -180,8 +214,12 @@ def cat_diagnostics(state: FockVector, alpha: complex):
         raise ValueError("state has no support on the circle |beta| = |alpha|")
     is_max = (q > np.roll(q, 1)) & (q >= np.roll(q, -1)) & (q >= LOBE_THRESHOLD * qmax)
     lobe_idx = np.nonzero(is_max)[0]
+    # Rank by Q relative to the maximum, to 12 decimals: lobes equal up to
+    # rounding (mirror images, for a real state) keep their angle order
+    # instead of an order set by the last bits of the overlap sum.
     lobes = sorted(
-        ((float(phis[i]), float(q[i])) for i in lobe_idx), key=lambda t: -t[1]
+        ((float(phis[i]), float(q[i])) for i in lobe_idx),
+        key=lambda t: -round(t[1] / qmax, 12),
     )
 
     result = {

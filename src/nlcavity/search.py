@@ -182,6 +182,11 @@ def _seed_candidates(c1, c2) -> np.ndarray:
     col_bound = np.max(1.0 - np.abs(c2), axis=0)
     cols = np.arange(n2)
     block = max(1, GRID_BLOCK_POINTS // n2)
+    # The block buffers are allocated once per call. Allocated per block,
+    # their cost depended on the mmap and trim thresholds that earlier work in
+    # the process had left the C allocator with.
+    d_plus, d_minus, bk, work = np.empty((4, min(block, n1) * n2))
+    index = np.empty(d_plus.size, dtype=np.int64)
     top_dist = np.empty(0)
     top_flat = np.empty(0, dtype=np.int64)
     for start in range(0, n1, block):
@@ -191,16 +196,21 @@ def _seed_candidates(c1, c2) -> np.ndarray:
             cols = cols[col_bound[cols] <= top_dist[-1]]
             if not (rows.size and cols.size):
                 continue
-        d_plus = np.zeros((rows.size, cols.size))
-        d_minus = np.zeros((rows.size, cols.size))
+        shape, size = (rows.size, cols.size), rows.size * cols.size
+        dp, dm, b, w = (buf[:size].reshape(shape) for buf in (d_plus, d_minus, bk, work))
+        dp.fill(0.0)
+        dm.fill(0.0)
         for k in range(3):
-            bk = np.multiply.outer(c1[k, rows], c2[k, cols])
-            np.maximum(d_plus, np.abs(bk - NS_TARGET[k]), out=d_plus)
-            np.maximum(d_minus, np.abs(bk + NS_TARGET[k]), out=d_minus)
-        dist = np.minimum(d_plus, d_minus).ravel()
-        flat = np.add.outer(rows * n2, cols).ravel()
-        if dist.size > SEED_CANDIDATES:
-            keep = dist <= np.partition(dist, SEED_CANDIDATES - 1)[SEED_CANDIDATES - 1]
+            np.multiply.outer(c1[k, rows], c2[k, cols], out=b)
+            np.maximum(dp, np.abs(np.subtract(b, NS_TARGET[k], out=w), out=w), out=dp)
+            np.maximum(dm, np.abs(np.add(b, NS_TARGET[k], out=w), out=w), out=dm)
+        dist = np.minimum(dp, dm, out=dp).ravel()
+        flat = np.add.outer(rows * n2, cols, out=index[:size].reshape(shape)).ravel()
+        if size > SEED_CANDIDATES:
+            w = work[:size]
+            w[:] = dist
+            w.partition(SEED_CANDIDATES - 1)
+            keep = dist <= w[SEED_CANDIDATES - 1]
             dist, flat = dist[keep], flat[keep]
         top_dist = np.concatenate((top_dist, dist))
         top_flat = np.concatenate((top_flat, flat))

@@ -1,20 +1,30 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlcavity.cli import (
     EXIT_GUARD_ABORT,
     EXIT_INVALID_CONFIG,
     EXIT_NO_SOLUTION,
     EXIT_OK,
+    FLOAT_CHUNK,
+    Formatted,
+    fmt,
     main,
     parse_freq,
+    print_result,
     rounded,
+    write_json,
 )
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -132,6 +142,13 @@ class TestQfunc:
             ["qfunc", "--alpha", "10", "--theta", "1", "--cutoff", "40", "--out", str(tmp_path)]
         )
         assert rc == EXIT_GUARD_ABORT
+
+    def test_cutoff_zero_is_guard_abort(self, tmp_path, capsys):
+        # An explicit --cutoff 0 is a cutoff, not a request for the default.
+        assert main(["cat-diagnose", "--alpha", "3", "--cutoff=0"]) == EXIT_GUARD_ABORT
+        rc = main(["qfunc", "--alpha", "3", "--cutoff", "0", "--out", str(tmp_path)])
+        assert rc == EXIT_GUARD_ABORT
+        assert capsys.readouterr().err.count("numerical guard abort") == 2
 
     def test_invalid_grid(self, tmp_path):
         rc = main(["qfunc", "--alpha", "2", "--grid", "bad", "--out", str(tmp_path)])
@@ -274,6 +291,72 @@ class TestRounded:
     def test_scalars_pass_through(self):
         for value in (3, True, False, None, "text"):
             assert rounded(value) is value
+
+
+def reference_json(record):
+    """Reference: the stdlib encoder on the rounded record, as written before
+    write_json had its own emitter."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ref.json"
+        with open(path, "w") as fh:
+            json.dump(rounded(record), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return path.read_bytes()
+
+
+def emitted_json(record):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        write_json(path, record)
+        return path.read_bytes()
+
+
+# Floats whose 12-digit string and json spelling differ, or sit at a limit.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.5e-310,
+    3.0, -3.0, 1e12, -1e12, 1e15, 1e16, -1e16, 1.5e17, 999999999999.6,
+    123456789012.5, 1e-5, 1e-4, 0.1, 1.0 / 3.0, -2.0 / 3.0, 1.7976931348623157e308,
+]
+
+
+class TestJsonEmitter:
+    def test_mixed_record(self):
+        record = {
+            "z": {"b": [1.0 / 3.0, 2.5 - 0.125j, (4, None)], "a": {}, "e": []},
+            "array": np.array([[1.0 / 7.0, -2.0], [3e-320, 1e13]]),
+            "complex": complex(1e-300, -5e-324),
+            "flags": [True, False, None],
+            "count": 7,
+            "text": 'quote " and \u00e9',
+            "values": np.array(EDGE_FLOATS),
+            "empty": np.array([]),
+        }
+        assert emitted_json(record) == reference_json(record)
+
+    def test_formatted_list_equals_float_array(self):
+        edge = EDGE_FLOATS + [float("inf"), -float("inf"), float("nan")]
+        want = reference_json({"values": np.array(edge), "n": 3})
+        assert emitted_json({"values": Formatted(map(fmt, edge)), "n": 3}) == want
+
+    def test_formatted_list_across_chunks(self):
+        values = np.random.default_rng(3).normal(size=2 * FLOAT_CHUNK + 5) ** 9
+        values[[0, FLOAT_CHUNK, -1]] = (0.0, 2.0, 1e14)
+        want = reference_json({"values": values})
+        assert emitted_json({"values": Formatted(map(fmt, values.tolist()))}) == want
+
+    def test_print_result_matches_json_dumps(self):
+        record = {"b": [0.1, 2.0], "a": {"c": 1.0 / 3.0 + 1j}}
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            print_result(record, True, ())
+        assert stdout.getvalue() == json.dumps(rounded(record), indent=2, sort_keys=True) + "\n"
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_finite_floats(self, values):
+        want = reference_json({"values": values})
+        assert emitted_json({"values": values}) == want
+        assert emitted_json({"values": Formatted(map(fmt, values))}) == want
 
 
 class TestConfigFile:

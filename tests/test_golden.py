@@ -3,9 +3,10 @@ output directory shown as {out}) and its exit code, compared byte for byte
 with the fixtures under tests/golden/<case>/.
 
 The fixtures pin the current behaviour so that refactors can prove they
-change nothing. Regenerate them only for an intended output change:
+change nothing. Regenerate them only for an intended output change, naming
+the cases that change (no name regenerates every case):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
 
 import contextlib
@@ -102,10 +103,13 @@ def test_golden(case, tmp_path):
         assert files[name] == data, f"{case}/{name} differs from the golden copy"
 
 
-def regenerate():
-    for case, argv in sorted(CASES.items()):
+def regenerate(cases=()):
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s) {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
+    for case in sorted(cases or CASES):
         with tempfile.TemporaryDirectory() as tmp:
-            files, stdout, code = run_case(argv, tmp)
+            files, stdout, code = run_case(CASES[case], tmp)
         root = GOLDEN / case
         shutil.rmtree(root, ignore_errors=True)
         (root / "files").mkdir(parents=True)
@@ -118,4 +122,4 @@ def regenerate():
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from nlcavity import (
     FockVector,
@@ -104,6 +106,80 @@ def test_coherent_overlap_closed_form(alpha, beta):
     assert np.max(np.abs(q - np.exp(-np.abs(betas - alpha) ** 2))) < 1e-12
 
 
+def q_at(state, beta):
+    return float(np.abs(coherent_overlap(beta, state)[0]) ** 2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(r=st.floats(0.0, 70.0), spread=st.floats(-8.0, 8.0), phase=st.floats(-math.pi, math.pi))
+@example(r=math.sqrt(2000.0), spread=0.0, phase=0.4)
+@example(r=39.0, spread=-2.0, phase=-2.0)
+def test_fock_state_q_closed_form(r, spread, phase):
+    # Q(beta) = e^{-|beta|^2} |beta|^{2n} / n! for |n>. n is drawn near
+    # |beta|^2, up to 2000, so that Q is mostly a normal float, also past
+    # |beta|^2 ~ 1490 where e^{-|beta|^2/2} alone underflows; farther out Q
+    # must underflow cleanly.
+    n = min(2000, max(0, round(r * r + spread * r)))
+    beta = r * complex(math.cos(phase), math.sin(phase))
+    q = q_at(fock_state(n, n), beta)
+    if r == 0.0:
+        assert q == (1.0 if n == 0 else 0.0)
+        return
+    log_q = -r * r + 2 * n * math.log(r) - math.lgamma(n + 1)
+    if log_q < -700.0:
+        assert 0.0 <= q < 1e-300
+    else:
+        assert abs(q - math.exp(log_q)) <= 1e-10 * math.exp(log_q)
+
+
+def test_overlap_without_vacuum_is_zero_at_origin():
+    amps = np.zeros(41, dtype=complex)
+    amps[[1, 7, 40]] = (0.6, 0.8j, 1e-3)
+    with np.errstate(all="raise"):
+        assert coherent_overlap(0.0, FockVector(amps, 40))[0] == 0.0
+        grid = q_function(FockVector(amps, 40), (-1, 1), (-1, 1), 3)
+    assert grid.values[1, 1] == 0.0
+
+
+def log_space_q(state, beta):
+    """(|<beta|psi>|^2, (sum_n |term_n|)^2) by a direct sum whose terms are
+    formed in log form, the benchmark oracle's reference."""
+    n = np.arange(state.cutoff + 1)
+    with np.errstate(divide="ignore"):
+        log_mag = (
+            np.log(np.abs(state.amps)) - abs(beta) ** 2 / 2
+            + n * np.log(abs(beta)) - gammaln(n + 1) / 2
+        )
+    terms = np.exp(log_mag + 1j * (np.angle(state.amps) - n * np.angle(beta)))
+    return abs(terms.sum()) ** 2, np.abs(terms).sum() ** 2
+
+
+def test_large_field_far_from_the_lobes():
+    # |alpha| = 40 at the default cutoff (1940), on the large-field grid
+    # reach (|alpha| + 8) and near the origin, where Q is far below its peak.
+    state = conditional_state(40.0 * np.exp(0.3j), 40.0 * math.pi)
+    betas = np.array([48 + 48j, -48j, 60.0, 20 - 5j, -12 + 30j, 0.5, 45j, -44.0])
+    got = np.abs(coherent_overlap(betas, state)) ** 2
+    for beta, q in zip(betas, got):
+        want, scale = log_space_q(state, beta)
+        assert abs(q - want) <= 1e-8 * want + 1e-12 * scale + 1e-300, beta
+
+
+def test_q_function_memory_does_not_grow_with_cutoff():
+    # The per-row kernel formed a (grid row) x (cutoff + 1) matrix.
+    state = coherent_state(1.0, 100_000)
+    tracemalloc.start()
+    try:
+        grid = q_function(state, (-1.0, 1.0), (-1.0, 1.0), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * state.amps.nbytes
+    x, p = grid.axes()
+    want = np.exp(-np.abs(x + 1j * p[:, None] - 1.0) ** 2)
+    assert np.max(np.abs(grid.values - want)) < 1e-12
+
+
 class TestCircleAmplitude:
     def test_poisson_normalization(self):
         assert abs(exact_circle_amplitude(3.0, 0.0, 0.0) - 1.0) < 1e-12
@@ -175,6 +251,17 @@ class TestCatDiagnostics:
             angles = diag["lobe_angles"]
             assert len(angles) == 2
             assert abs(angles[0] + angles[1]) < 0.02
+
+    def test_mirror_lobes_rank_by_angle(self):
+        # For real alpha the two lobes are mirror images whose Q agrees up to
+        # rounding: the lower angle ranks first, so the fit starts from the
+        # lobe below the real axis whatever the last bits of Q are.
+        state = conditional_state(10.0, 10.0 * math.pi, cutoff=220)
+        for seed in range(4):
+            ulps = np.random.default_rng(seed).integers(-4, 5, state.cutoff + 1)
+            amps = state.amps * (1.0 + ulps * np.finfo(float).eps)
+            diag = cat_diagnostics(FockVector(amps, state.cutoff), 10.0)
+            assert diag["cat_gamma"].imag < 0.0
 
     def test_number_distribution_is_reweighted_poisson(self):
         # conditioning reweights by cos^2 but never reorders the distribution
