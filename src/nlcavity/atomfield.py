@@ -1,11 +1,13 @@
 """Joint atom-field evolution and the conditional measurement blocks.
 
-A two-level atom couples to the cavity mode through a^dag sigma- + a sigma+.
-Post-selecting the atomic state after a dimensionless interaction time tau
-leaves the field multiplied entrywise by cos(tau sqrt(n)) (ground-in,
-ground-out) or cos(tau sqrt(n+1)) (excited-in, excited-out). Both the exact
-joint exponential and the scalar-cosine shortcut are implemented so each can
-serve as the other's oracle.
+A two-level atom couples to the cavity mode through a^dag sigma- + a sigma+,
+which joins only the pairs {|e,n>, |g,n+1>}: after a dimensionless interaction
+time tau each pair turns by cos(tau sqrt(n+1)) - i sin(tau sqrt(n+1)) sigma_x.
+Post-selecting the atom leaves the field multiplied entrywise by cos(tau
+sqrt(n)) (ground-in, ground-out) or cos(tau sqrt(n+1)) (excited-in,
+excited-out), or shifted one photon with weight -i sin(tau sqrt(n+1)) (atom
+flipped). The blocks use these closed forms; the dense joint exponential,
+_dense_joint_unitary, is kept so each can serve as the other's oracle.
 """
 
 import math
@@ -13,16 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    FockOperator,
-    FockVector,
-    annihilation,
-    expm_antihermitian,
-)
+from .fock import FockOperator, FockVector, annihilation, expm_antihermitian
 
 GROUND = "g"
 EXCITED = "e"
-_ATOM_INDEX = {GROUND: 0, EXCITED: 1}
 
 # Outcomes below this probability are treated as impossible.
 PROB_FLOOR = 1e-15
@@ -34,19 +30,11 @@ class ImpossibleOutcomeError(ValueError):
 
 @dataclass
 class JointOperator:
-    """Dense 2(N+1) x 2(N+1) unitary, ordered (atom level) x (field number),
-    atom basis {g, e}."""
+    """exp[-i tau (a^dag sigma- + a sigma+)] on the joint space with field
+    numbers 0..cutoff; conditional_block gives its field blocks."""
 
-    matrix: np.ndarray
+    tau: float
     cutoff: int
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        dim = 2 * (self.cutoff + 1)
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(
-                f"matrix has shape {self.matrix.shape}, expected ({dim}, {dim})"
-            )
 
 
 @dataclass
@@ -66,21 +54,30 @@ def joint_evolution(tau: float, cutoff: int) -> JointOperator:
     """exp[-i tau (a^dag sigma- + a sigma+)] on the joint space."""
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    a = annihilation(cutoff).matrix
-    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
-    sp = sm.conj().T
-    h = np.kron(sm, a.conj().T) + np.kron(sp, a)
-    u = expm_antihermitian(FockOperator(-1j * tau * h, 2 * cutoff + 1))
-    return JointOperator(u.matrix, cutoff)
+    return JointOperator(float(tau), cutoff)
 
 
 def conditional_block(U: JointOperator, atom_in: str, atom_out: str) -> FockOperator:
     """Field operator for preparing atom_in and detecting atom_out."""
-    dim = U.cutoff + 1
-    i = _ATOM_INDEX[atom_in]
-    o = _ATOM_INDEX[atom_out]
-    block = U.matrix[o * dim : (o + 1) * dim, i * dim : (i + 1) * dim]
-    return FockOperator(block.copy(), U.cutoff)
+    for label in (atom_in, atom_out):
+        if label not in (GROUND, EXCITED):
+            raise ValueError(f"atom state must be 'g' or 'e', got {label!r}")
+    if atom_in == atom_out:
+        factors = upsilon_factors(U.tau, U.cutoff, atom_in)
+        if atom_in == EXCITED:
+            factors[-1] = 1.0  # |e,N> has no partner |g,N+1> in the truncated space
+        return FockOperator(np.diag(factors), U.cutoff)
+    flips = -1j * np.sin(U.tau * np.sqrt(np.arange(1, U.cutoff + 1)))
+    # g -> e takes a photon out of the field, e -> g puts one in.
+    return FockOperator(np.diag(flips, 1 if atom_in == GROUND else -1), U.cutoff)
+
+
+def _dense_joint_unitary(tau: float, cutoff: int) -> np.ndarray:
+    """The dense 2(N+1) x 2(N+1) joint unitary, ordered (atom level) x (field
+    number) with atom basis {g, e}: the oracle for conditional_block."""
+    a = annihilation(cutoff).matrix
+    h = np.block([[np.zeros_like(a), a.conj().T], [a, np.zeros_like(a)]])
+    return expm_antihermitian(FockOperator(-1j * tau * h, 2 * cutoff + 1)).matrix
 
 
 def upsilon_factors(tau, cutoff: int, variant: str = GROUND) -> np.ndarray:

@@ -99,8 +99,24 @@ def rounded(value):
     return value
 
 
+def finite(value, text):
+    """value, parsed from text, unless it has an infinite or NaN part."""
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+# Option types for real and complex numbers; argparse names them in its errors.
+def real(text):
+    return finite(float(text), text)
+
+
+def complex_number(text):
+    return finite(complex(text), text)
+
+
 def parse_range(text):
-    lo, hi = (float(v) for v in text.split(":"))
+    lo, hi = (real(v) for v in text.split(":"))
     return (lo, hi)
 
 
@@ -108,7 +124,7 @@ def parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be x0:x1:n, got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    return real(parts[0]), real(parts[1]), int(parts[2])
 
 
 def parse_freq(text) -> float:
@@ -128,7 +144,7 @@ def parse_freq(text) -> float:
             s = s[: -len(suffix)]
             break
     try:
-        return factor * scale * float(s)
+        return finite(factor * scale * float(s), text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse frequency {text!r}") from exc
 
@@ -323,12 +339,12 @@ def cmd_cat_diagnose(args):
 
 
 def cmd_universality(args):
-    args.out.mkdir(parents=True, exist_ok=True)
-    alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
+    alphas = [real(v) for v in args.alphas.split(",") if v.strip()]
     include_cubic = not args.drop_cubic
     comps, exponent = residual_scaling(
         alphas, subspace_dim=args.subspace, include_cubic=include_cubic
     )
+    args.out.mkdir(parents=True, exist_ok=True)
     magnitudes = [abs(c.alpha) for c in comps]
     residuals = [c.residual_norm for c in comps]
     write_csv(args.out / "scaling.csv", ["alpha", "residual"], zip(magnitudes, residuals))
@@ -403,19 +419,19 @@ def build_parser(config=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ns-search", help="interaction-time search for the sign gate")
-    p.add_argument("--max-tau", dest="max_tau", type=float, default=250.0)
+    p.add_argument("--max-tau", dest="max_tau", type=real, default=250.0)
     p.add_argument("--two-atom", dest="two_atom", action="store_true")
     p.add_argument("--tau1-range", dest="tau1_range", type=parse_range, default=(1.0, 60.0))
     p.add_argument("--tau2-range", dest="tau2_range", type=parse_range, default=(1.0, 250.0))
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--target-merit", dest="target_merit", type=float, default=1e-6)
+    p.add_argument("--step", type=real, default=0.05)
+    p.add_argument("--target-merit", dest="target_merit", type=real, default=1e-6)
     p.add_argument("--out", type=Path, default=".")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_ns_search)
 
     p = sub.add_parser("qfunc", help="Q-function grid for a conditional state")
-    p.add_argument("--alpha", type=complex, default=10.0)
-    p.add_argument("--theta", type=float, default=10.0 * math.pi)
+    p.add_argument("--alpha", type=complex_number, default=10.0)
+    p.add_argument("--theta", type=real, default=10.0 * math.pi)
     p.add_argument("--cutoff", type=int)
     p.add_argument(
         "--grid",
@@ -428,8 +444,8 @@ def build_parser(config=None):
     p.set_defaults(func=cmd_qfunc)
 
     p = sub.add_parser("cat-diagnose", help="lobe angles and best cat fit")
-    p.add_argument("--alpha", type=complex, default=10.0)
-    p.add_argument("--theta", type=float, default=10.0 * math.pi)
+    p.add_argument("--alpha", type=complex_number, default=10.0)
+    p.add_argument("--theta", type=real, default=10.0 * math.pi)
     p.add_argument("--cutoff", type=int)
     p.add_argument("--out", type=Path)
     p.set_defaults(func=cmd_cat_diagnose)
@@ -447,13 +463,13 @@ def build_parser(config=None):
     p.add_argument("--g", type=parse_freq)
     p.add_argument("--omega", type=parse_freq)
     p.add_argument("--delta", type=parse_freq)
-    p.add_argument("--tau", type=float)
+    p.add_argument("--tau", type=real)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("qudit-theta", help="sign-shift angle search")
     p.add_argument("--n-max", dest="n_max", type=int, default=2)
-    p.add_argument("--tolerance", type=float, default=0.01)
+    p.add_argument("--tolerance", type=real, default=0.01)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_qudit_theta)
 

@@ -109,8 +109,8 @@ def residual_scaling(alphas, subspace_dim: int = 3, include_cubic: bool = True):
     alphas = list(alphas)
     if any(abs(a) < 4 for a in alphas):
         raise ValueError("alphas must have magnitude >= 4 for the expansion")
-    if subspace_dim > 6:
-        raise ValueError("subspace_dim must be <= 6")
+    if not 0 <= subspace_dim <= 6:
+        raise ValueError(f"subspace_dim must be between 0 and 6, got {subspace_dim}")
     comps = [
         generator_residual(a, subspace_dim=subspace_dim, include_cubic=include_cubic)
         for a in alphas

@@ -14,7 +14,7 @@ from nlcavity import (
     ns_amplitudes,
     ns_gate_check,
 )
-from nlcavity.atomfield import EXCITED, GROUND, upsilon_factors
+from nlcavity.atomfield import EXCITED, GROUND, _dense_joint_unitary, upsilon_factors
 from nlcavity.search import two_atom_amplitudes
 from conftest import random_state
 
@@ -27,14 +27,44 @@ def equal_superposition(cutoff=5):
     return FockVector(amps, cutoff)
 
 
+def assembled(u):
+    """The 2(N+1) joint operator put together from its four field blocks,
+    ordered (atom level) x (field number) with atom basis {g, e}."""
+    return np.block(
+        [[conditional_block(u, a_in, a_out).matrix for a_in in "ge"] for a_out in "ge"]
+    )
+
+
 class TestJointEvolution:
     def test_tau_zero_identity(self):
-        u = joint_evolution(0.0, 8)
-        assert np.max(np.abs(u.matrix - np.eye(18))) < 1e-12
+        u = assembled(joint_evolution(0.0, 8))
+        assert np.max(np.abs(u - np.eye(18))) < 1e-12
 
-    def test_unitary(self):
-        u = joint_evolution(3.7, 20).matrix
-        assert np.max(np.abs(u.conj().T @ u - np.eye(42))) < 1e-10
+    @pytest.mark.parametrize("tau", [3.7, 249.9])
+    @pytest.mark.parametrize("cutoff", [20, 400])
+    def test_unitary(self, tau, cutoff):
+        u = assembled(joint_evolution(tau, cutoff))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2 * cutoff + 2))) < 1e-12
+
+    @pytest.mark.parametrize("tau", [0.0, 3.7, 6.5064, 249.9])
+    @pytest.mark.parametrize("cutoff", [8, 30, 400])
+    def test_blocks_match_dense_oracle(self, tau, cutoff):
+        # The dense eigendecomposition's phases carry errors of about
+        # tau |H| eps, so the bound grows with tau.
+        u = assembled(joint_evolution(tau, cutoff))
+        assert np.max(np.abs(u - _dense_joint_unitary(tau, cutoff))) < 1e-13 * (1 + tau)
+
+    def test_ee_last_entry_is_exactly_one(self):
+        # |e,N> has no partner |g,N+1> in the truncated space, so it stays fixed.
+        for tau in (3.7, 6.5064, 249.9):
+            ee = conditional_block(joint_evolution(tau, 30), "e", "e").matrix
+            assert ee[-1, -1] == 1.0
+
+    @pytest.mark.parametrize("labels", [("x", "g"), ("g", "x"), ("e", "G"), ("E", "e")])
+    def test_bad_atom_label(self, labels):
+        bad = next(label for label in labels if label not in ("g", "e"))
+        with pytest.raises(ValueError, match=repr(bad)):
+            conditional_block(joint_evolution(1.0, 4), *labels)
 
     def test_two_level_rabi(self):
         u = joint_evolution(math.pi, 10)
@@ -125,7 +155,8 @@ class TestApplyUpsilon:
             for _ in range(5):
                 state = random_state(rng, cutoff)
                 out = apply_upsilon(state, tau, variant)
-                # top edge of the e-variant block is truncation-corrupted
+                # the e-variant block keeps |e,N> fixed (it has no partner in
+                # the truncated space); the map's factor there is cos(tau sqrt(N+1))
                 keep = cutoff if variant == "e" else cutoff + 1
                 assert np.max(np.abs((block @ state.amps)[:keep] - out.raw.amps[:keep])) < 1e-10
 

@@ -182,6 +182,14 @@ class TestUniversality:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert abs(summary["exponent"] - (-2.0)) < 0.3
 
+    @pytest.mark.parametrize("subspace", ["-1", "7"])
+    def test_subspace_out_of_range(self, tmp_path, capsys, subspace):
+        out = tmp_path / "out"
+        rc = main(["universality", "--subspace", subspace, "--out", str(out)])
+        assert rc == EXIT_INVALID_CONFIG
+        assert "subspace_dim must be between 0 and 6" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.filterwarnings("ignore:detuning below")
 class TestParams:
@@ -423,3 +431,33 @@ class TestConfigFile:
     def test_unknown_flag_exit_code(self, capsys):
         rc = main(["ns-search", "--definitely-not-a-flag"])
         assert rc == EXIT_INVALID_CONFIG
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ns-search", "--max-tau", "inf", "--out", "OUT"],
+            ["ns-search", "--two-atom", "--tau1-range", "1:nan", "--out", "OUT"],
+            ["qfunc", "--alpha", "inf", "--out", "OUT"],
+            ["qfunc", "--alpha", "3", "--grid=-inf:1:3", "--out", "OUT"],
+            ["universality", "--alphas", "4,inf", "--out", "OUT"],
+            ["cat-diagnose", "--alpha", "3", "--theta", "inf"],
+            ["cat-diagnose", "--alpha", "nan+1j"],
+            ["params", "--g", "1e308GHz", "--omega", "1", "--delta", "1"],
+            ["qudit-theta", "--tolerance", "nan"],
+        ],
+    )
+    def test_non_finite_value_is_invalid(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path) if a == "OUT" else a for a in argv]
+        assert main(argv) == EXIT_INVALID_CONFIG
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert out == ""
+        assert not any(tmp_path.iterdir())
+
+    def test_non_finite_config_value_is_invalid(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta = inf\n")
+        assert main(["--config", str(cfg), "cat-diagnose", "--alpha", "3"]) == EXIT_INVALID_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
